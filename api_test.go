@@ -143,6 +143,27 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+func TestExplainAnalyze(t *testing.T) {
+	cat := GenerateTPCH(0.001, 7)
+	node, err := TPCHQuery(cat, "q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := LatencyNone
+	s, res, err := ExplainAnalyze(node, "q3", Options{Backend: BackendVectorized, Workers: 2, Latency: &lat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows() == 0 || res.Trace == nil {
+		t.Fatalf("rows=%d trace=%v", res.Rows(), res.Trace)
+	}
+	for _, want := range []string{"pipeline p0", "  -- ", "== tables:"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("explain analyze missing %q:\n%s", want, s)
+		}
+	}
+}
+
 func TestDateHelpers(t *testing.T) {
 	d := MkDate(1998, 9, 2)
 	if DateString(d) != "1998-09-02" {

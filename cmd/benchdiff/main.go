@@ -11,38 +11,28 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
 type cell struct {
-	Query    string  `json:"query"`
-	Backend  string  `json:"backend"`
-	WallMS   float64 `json:"wall_ms"`
-	Rows     int64   `json:"rows"`
-	Exchange bool    `json:"exchange"`
+	Query   string  `json:"query"`
+	Backend string  `json:"backend"`
+	WallMS  float64 `json:"wall_ms"`
+	Rows    int64   `json:"rows"`
 
-	HTLocalHits     int64 `json:"ht_local_hits"`
-	HTSpills        int64 `json:"ht_spills"`
-	HTBloomSkips    int64 `json:"ht_bloom_skips"`
-	PartRoutedRows  int64 `json:"part_routed_rows"`
-	PartMaxPartRows int64 `json:"part_max_part_rows"`
+	HTLocalHits  int64 `json:"ht_local_hits"`
+	HTSpills     int64 `json:"ht_spills"`
+	HTBloomSkips int64 `json:"ht_bloom_skips"`
 }
 
-// key identifies a cell across artifacts; the exchange axis is part of the
-// identity so on/off cells of the same query/backend never diff against each
-// other.
-func (c cell) key() string {
-	k := c.Query + "/" + c.Backend
-	if c.Exchange {
-		k += "/exchange"
-	}
-	return k
-}
+// key identifies a cell across artifacts.
+func (c cell) key() string { return c.Query + "/" + c.Backend }
 
 // counters reports whether the cell carries any behaviour counters worth
 // diffing (older artifacts predate them and decode as all-zero).
 func (c cell) counters() bool {
-	return c.HTLocalHits != 0 || c.HTSpills != 0 || c.HTBloomSkips != 0 || c.PartRoutedRows != 0
+	return c.HTLocalHits != 0 || c.HTSpills != 0 || c.HTBloomSkips != 0
 }
 
 type report struct {
@@ -52,7 +42,12 @@ type report struct {
 	Cells   []cell  `json:"cells"`
 }
 
-func load(path string) (*report, error) {
+// load reads one artifact and keeps the first cell per query/backend key.
+// Older artifacts can carry several cells under one key (BENCH_PR10.json
+// measured each query/backend twice, along an axis that no longer exists);
+// later duplicates are dropped with one note, so the baseline is always the
+// first measurement.
+func load(w io.Writer, path string) (*report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -61,6 +56,18 @@ func load(path string) (*report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	seen := make(map[string]bool, len(r.Cells))
+	kept := r.Cells[:0]
+	for _, c := range r.Cells {
+		if !seen[c.key()] {
+			seen[c.key()] = true
+			kept = append(kept, c)
+		}
+	}
+	if dup := len(r.Cells) - len(kept); dup > 0 {
+		fmt.Fprintf(w, "note: %s: ignored %d duplicate query/backend cell(s), keeping the first of each\n", path, dup)
+	}
+	r.Cells = kept
 	return &r, nil
 }
 
@@ -76,21 +83,32 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	base, err := load(flag.Arg(0))
+	regressions, err := diff(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
-	next, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+	if regressions > 0 && *failOnRegress {
 		os.Exit(1)
+	}
+}
+
+// diff prints the cell-by-cell comparison of two artifacts and returns the
+// number of cells slower than the baseline by more than threshold.
+func diff(w io.Writer, basePath, nextPath string, threshold float64) (int, error) {
+	base, err := load(w, basePath)
+	if err != nil {
+		return 0, err
+	}
+	next, err := load(w, nextPath)
+	if err != nil {
+		return 0, err
 	}
 	if base.SF != next.SF {
-		fmt.Printf("note: scale factors differ (baseline SF %g, new SF %g) — deltas are not comparable\n", base.SF, next.SF)
+		fmt.Fprintf(w, "note: scale factors differ (baseline SF %g, new SF %g) — deltas are not comparable\n", base.SF, next.SF)
 	}
 	if base.Workers != next.Workers {
-		fmt.Printf("note: worker counts differ (baseline %d, new %d) — wall-time deltas reflect parallelism, not code\n",
+		fmt.Fprintf(w, "note: worker counts differ (baseline %d, new %d) — wall-time deltas reflect parallelism, not code\n",
 			base.Workers, next.Workers)
 	}
 
@@ -99,48 +117,38 @@ func main() {
 		old[c.key()] = c
 	}
 
-	fmt.Printf("%-6s %-15s %10s %10s %9s\n", "query", "backend", "base ms", "new ms", "delta")
+	fmt.Fprintf(w, "%-6s %-11s %10s %10s %9s\n", "query", "backend", "base ms", "new ms", "delta")
 	regressions := 0
 	anyCounters := false
 	for _, c := range next.Cells {
-		name := c.Backend
-		if c.Exchange {
-			name += "+ex"
-		}
 		b, ok := old[c.key()]
 		if !ok {
-			fmt.Printf("%-6s %-15s %10s %10.2f %9s\n", c.Query, name, "-", c.WallMS, "new")
+			fmt.Fprintf(w, "%-6s %-11s %10s %10.2f %9s\n", c.Query, c.Backend, "-", c.WallMS, "new")
 			continue
 		}
 		anyCounters = anyCounters || b.counters() || c.counters()
 		delta := c.WallMS/b.WallMS - 1
 		mark := ""
-		if delta > *threshold {
+		if delta > threshold {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-6s %-15s %10.2f %10.2f %+8.1f%%%s\n", c.Query, name, b.WallMS, c.WallMS, 100*delta, mark)
+		fmt.Fprintf(w, "%-6s %-11s %10.2f %10.2f %+8.1f%%%s\n", c.Query, c.Backend, b.WallMS, c.WallMS, 100*delta, mark)
 	}
 	if anyCounters {
-		fmt.Printf("\ncounter deltas (local_hits/spills/bloom_skips/routed, base -> new):\n")
+		fmt.Fprintf(w, "\ncounter deltas (local_hits/spills/bloom_skips, base -> new):\n")
 		for _, c := range next.Cells {
 			b, ok := old[c.key()]
 			if !ok || (!b.counters() && !c.counters()) {
 				continue
 			}
-			name := c.Backend
-			if c.Exchange {
-				name += "+ex"
-			}
-			fmt.Printf("%-6s %-15s %d/%d/%d/%d -> %d/%d/%d/%d\n", c.Query, name,
-				b.HTLocalHits, b.HTSpills, b.HTBloomSkips, b.PartRoutedRows,
-				c.HTLocalHits, c.HTSpills, c.HTBloomSkips, c.PartRoutedRows)
+			fmt.Fprintf(w, "%-6s %-11s %d/%d/%d -> %d/%d/%d\n", c.Query, c.Backend,
+				b.HTLocalHits, b.HTSpills, b.HTBloomSkips,
+				c.HTLocalHits, c.HTSpills, c.HTBloomSkips)
 		}
 	}
 	if regressions > 0 {
-		fmt.Printf("%d cell(s) regressed more than %.0f%%\n", regressions, 100**threshold)
-		if *failOnRegress {
-			os.Exit(1)
-		}
+		fmt.Fprintf(w, "%d cell(s) regressed more than %.0f%%\n", regressions, 100*threshold)
 	}
+	return regressions, nil
 }

@@ -22,11 +22,6 @@
 //	    -queries query on all four backends, median wall ms / rows/sec per
 //	    cell as JSON on stdout (scripts/bench.sh commits this as BENCH_*.json)
 //
-// The -exchange flag (off | on | both) lowers plans with the hash-partitioned
-// exchange: group-by and join builds route rows into per-partition buffers so
-// every hash-table partition is single-writer (DESIGN.md §15). "both" doubles
-// the -json cells into an A/B axis; -partitions overrides the fan-out.
-//
 // Degraded measurements (a background compile failed mid-run and the
 // pipeline was served vectorized-only) are flagged with '*' in every table
 // and reported on stderr.
@@ -36,7 +31,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -70,19 +64,9 @@ func main() {
 	concMax := flag.Int("conc-max", 0, "admitted-query cap per level (0 = half the client count)")
 	concQueue := flag.Int("conc-queue", 0, "admission queue depth (0 = scheduler default, negative = no queue)")
 	concBackend := flag.String("conc-backend", "", "backend for the concurrency series (default vectorized)")
-	exchange := flag.String("exchange", "off", "hash-partitioned exchange lowering: off | on | both (both measures every -json cell with and without the exchange)")
-	partitions := flag.Int("partitions", 0, "exchange fan-out with -exchange (0 = one partition per worker)")
 	flag.Parse()
 
-	switch *exchange {
-	case "off", "on", "both":
-	default:
-		fmt.Fprintf(os.Stderr, "inkbench: -exchange must be off, on or both (got %q)\n", *exchange)
-		os.Exit(2)
-	}
-
-	cfg := benchkit.Config{SF: *sf, Runs: *runs, Workers: *workers, Timeout: *timeout, MemBudget: *memBudget,
-		Exchange: *exchange == "on", Partitions: *partitions}
+	cfg := benchkit.Config{SF: *sf, Runs: *runs, Workers: *workers, Timeout: *timeout, MemBudget: *memBudget}
 	if *queries != "" {
 		cfg.Queries = strings.Split(*queries, ",")
 	}
@@ -98,14 +82,6 @@ func main() {
 
 	if *jsonFlag {
 		rep, err := benchkit.JSONBench(cfg, benchkit.Fig9Systems)
-		if err == nil && *exchange == "both" {
-			cfgOn := cfg
-			cfgOn.Exchange = true
-			var repOn *benchkit.JSONReport
-			if repOn, err = benchkit.JSONBench(cfgOn, benchkit.Fig9Systems); err == nil {
-				rep.Cells = append(rep.Cells, repOn.Cells...)
-			}
-		}
 		if err == nil && *concurrency > 0 {
 			rep.Concurrency, err = benchkit.ConcurrentBench(cfg, concCfg)
 		}
@@ -332,8 +308,7 @@ func explainQueries(cfg benchkit.Config, backendName string, dumpTrace bool, qlo
 		if err != nil {
 			return err
 		}
-		lopts := inkfuse.LowerOptions{Exchange: cfg.Exchange, Partitions: cfg.Partitions}
-		out, res, err := inkfuse.ExplainAnalyzeOpts(context.Background(), node, q, lopts, inkfuse.Options{
+		out, res, err := inkfuse.ExplainAnalyze(node, q, inkfuse.Options{
 			Backend:      be,
 			Workers:      cfg.Workers,
 			MemoryBudget: cfg.MemBudget,

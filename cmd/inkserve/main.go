@@ -64,8 +64,7 @@ func main() {
 	flag.Parse()
 
 	// Contention profiling is off by default (it costs a few percent on hot
-	// lock paths); flags arm it for A/B runs like the exchange-on/off
-	// comparison in DESIGN.md §15.
+	// lock paths); the flags arm it for hash-table shard-contention A/B runs.
 	if *mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexFraction)
 	}

@@ -130,7 +130,6 @@ func (h *planHasher) state(st any) error {
 		h.Int(h.ident(s))
 		h.Int(len(s.Init))
 		h.Int(s.Shards)
-		h.Int(s.Partitions)
 		for _, m := range s.Merge {
 			h.Int(int(m.Op))
 			h.Int(m.Off)
@@ -138,11 +137,6 @@ func (h *planHasher) state(st any) error {
 	case *rt.JoinTableState:
 		h.Str("join")
 		h.Int(h.ident(s))
-		h.Int(s.Partitions)
-	case *rt.ExchangeState:
-		h.Str("exchange")
-		h.Int(h.ident(s))
-		h.Int(s.Partitions)
 	default:
 		return fmt.Errorf("core: cannot fingerprint state %T", st)
 	}
@@ -168,12 +162,6 @@ func FingerprintPlan(p *Plan) (Fingerprint, error) {
 			}
 		case *AggRead:
 			h.Str("aggread")
-			if err := h.state(src.State); err != nil {
-				return Fingerprint{}, err
-			}
-			h.iu(src.Out)
-		case *ExchangeRead:
-			h.Str("exchangeread")
 			if err := h.state(src.State); err != nil {
 				return Fingerprint{}, err
 			}
@@ -213,12 +201,6 @@ func FingerprintPlan(p *Plan) (Fingerprint, error) {
 			}
 			h.Bool(fin.Keyless)
 		}
-		h.Str("xseal")
-		for _, ex := range pipe.SealExchanges {
-			if err := h.state(ex); err != nil {
-				return Fingerprint{}, err
-			}
-		}
 	}
 	h.Str("cols")
 	for _, c := range p.ColNames {
@@ -251,16 +233,11 @@ func ResetPlanState(p *Plan) {
 			s.Reset()
 		case *rt.AggTableState:
 			s.Reset()
-		case *rt.ExchangeState:
-			s.Reset()
 		}
 	}
 	for _, pipe := range p.Pipelines {
-		switch src := pipe.Source.(type) {
-		case *AggRead:
-			resetOne(src.State)
-		case *ExchangeRead:
-			resetOne(src.State)
+		if ar, ok := pipe.Source.(*AggRead); ok {
+			resetOne(ar.State)
 		}
 		for _, op := range pipe.Ops {
 			for _, st := range op.States() {
@@ -272,9 +249,6 @@ func ResetPlanState(p *Plan) {
 		}
 		for _, fin := range pipe.MergeAggs {
 			resetOne(fin.State)
-		}
-		for _, ex := range pipe.SealExchanges {
-			resetOne(ex)
 		}
 	}
 }

@@ -312,15 +312,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		budget = rt.NewMemBudget(opts.MemoryBudget)
 		for _, pipe := range plan.Pipelines {
 			for _, js := range pipe.SealJoins {
-				js.SetBudget(budget)
-			}
-			for _, fin := range pipe.MergeAggs {
-				if fin.State.Parted != nil {
-					fin.State.Parted.SetBudget(budget)
-				}
-			}
-			for _, ex := range pipe.SealExchanges {
-				ex.SetBudget(budget)
+				js.Table.SetBudget(budget)
 			}
 		}
 	}
@@ -380,10 +372,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		if err != nil {
 			return failed(fmt.Errorf("exec: %s/%s: %w", plan.Name, pipe.Name, err))
 		}
-		morsels := binder.morsels
-		if morsels == nil {
-			morsels = storage.Morsels(binder.total, opts.MorselSize)
-		}
+		morsels := storage.Morsels(binder.total, opts.MorselSize)
 
 		// Cardinality hint for this pipeline's aggregations: one worker sees
 		// at most a morsel of rows between table growth checks, and never
@@ -445,7 +434,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			// is captured without touching hot paths. The morsel is always
 			// timed: the duration feeds the process-wide latency histogram
 			// even when tracing is off.
-			var tup0, jit0, vec0, lh0, sp0, bs0, rt0 int64
+			var tup0, jit0, vec0, lh0, sp0, bs0 int64
 			if pt != nil {
 				tup0 = wctx.Counters.Tuples
 				jit0 = wctx.Counters.MorselsCompiled
@@ -453,7 +442,6 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 				lh0 = wctx.Counters.HTLocalHits
 				sp0 = wctx.Counters.HTSpills
 				bs0 = wctx.Counters.HTBloomSkips
-				rt0 = wctx.Counters.PartRoutedRows
 			}
 			t0 := time.Now()
 			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], out)
@@ -469,7 +457,6 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 				wt.LocalHits += wctx.Counters.HTLocalHits - lh0
 				wt.Spills += wctx.Counters.HTSpills - sp0
 				wt.BloomSkips += wctx.Counters.HTBloomSkips - bs0
-				wt.Routed += wctx.Counters.PartRoutedRows - rt0
 			}
 			if err != nil {
 				qs.fail(err)
@@ -535,13 +522,6 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		if pt != nil {
 			pt.Finalize = time.Since(finStart)
 			pt.Wall = time.Since(pipeStart)
-			// Per-partition routed-row counts of the exchanges this pipeline
-			// sealed — the skew surface for EXPLAIN ANALYZE (a uniform exchange
-			// shows near-equal counts; an all-one-partition skew shows one hot
-			// entry).
-			for _, ex := range pipe.SealExchanges {
-				pt.PartRows = append(pt.PartRows, ex.PartRows()...)
-			}
 		}
 		if pipe.Result != nil {
 			finalChunks = outs
@@ -642,12 +622,7 @@ func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm
 // sourceBinder adapts a pipeline source to morsel-range vector bindings.
 type sourceBinder struct {
 	total int
-	// morsels, when non-nil, overrides the uniform morsel split: exchange
-	// reads dispatch exactly one morsel per partition (the single-writer
-	// discipline of the partitioned tables), with Morsel.Start carrying the
-	// partition index.
-	morsels []storage.Morsel
-	bind    func(m storage.Morsel) ([]*storage.Vector, int)
+	bind  func(m storage.Morsel) ([]*storage.Vector, int)
 }
 
 func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
@@ -668,35 +643,15 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 			},
 		}, nil
 	case *core.AggRead:
-		if !s.State.Ready() {
+		if s.State.Global == nil {
 			return sourceBinder{}, fmt.Errorf("%w: aggregate source read before its build pipeline completed", ErrInvalidPlan)
 		}
-		snap := s.State.Snapshot()
+		snap := s.State.Global.Snapshot()
 		return sourceBinder{
 			total: len(snap),
 			bind: func(m storage.Morsel) ([]*storage.Vector, int) {
 				v := &storage.Vector{Kind: types.Ptr, Ptr: snap[m.Start:m.End]}
 				return []*storage.Vector{v}, m.Rows()
-			},
-		}, nil
-	case *core.ExchangeRead:
-		if !s.State.Sealed() {
-			return sourceBinder{}, fmt.Errorf("%w: exchange source read before its routing pipeline completed", ErrInvalidPlan)
-		}
-		p := rt.NormalizePartitions(s.State.Partitions)
-		ms := make([]storage.Morsel, p)
-		total := 0
-		for pi := 0; pi < p; pi++ {
-			total += len(s.State.PartitionRows(pi))
-			ms[pi] = storage.Morsel{Start: pi, End: pi + 1}
-		}
-		return sourceBinder{
-			total:   total,
-			morsels: ms,
-			bind: func(m storage.Morsel) ([]*storage.Vector, int) {
-				rows := s.State.PartitionRows(m.Start)
-				v := &storage.Vector{Kind: types.Ptr, Ptr: rows}
-				return []*storage.Vector{v}, len(rows)
 			},
 		}, nil
 	default:
@@ -706,14 +661,7 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 
 func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx, budget *rt.MemBudget) error {
 	for _, js := range pipe.SealJoins {
-		js.Seal()
-	}
-	// Seal routed exchanges: concatenate the workers' per-partition buffers and
-	// fold the routing/skew counters into the query stats.
-	for _, ex := range pipe.SealExchanges {
-		ex.Seal()
-		c := &ctxs[0].Counters
-		c.PartMaxPartRows = max(c.PartMaxPartRows, ex.MaxPartRows())
+		js.Table.Seal()
 	}
 	if len(pipe.MergeAggs) == 0 {
 		return nil
@@ -723,20 +671,6 @@ func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx, budget *rt.MemBudget)
 		taken[i] = ctx.TakeAggTables()
 	}
 	for _, fin := range pipe.MergeAggs {
-		if fin.State.Partitions > 0 {
-			// Exchange-partitioned build: the workers wrote straight into the
-			// shared partitioned table — there is nothing to merge. Only the
-			// keyless forced group (SQL: aggregates without GROUP BY produce
-			// one row even on empty input) needs the same treatment as below.
-			if fin.Keyless && fin.State.Parted.Groups() == 0 {
-				row := fin.State.Parted.FindOrCreate(nil, rt.Hash64(nil))
-				payload := row[rt.RowPayloadOff(row):]
-				for i := range payload {
-					payload[i] = 0
-				}
-			}
-			continue
-		}
 		var parts []*rt.AggTable
 		for _, m := range taken {
 			if t, ok := m[fin.State]; ok {

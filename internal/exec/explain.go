@@ -107,18 +107,6 @@ func writePipelineAnalysis(b *strings.Builder, pt *trace.Pipeline, workers int) 
 	if lh, sp, bs := pt.LocalHits(), pt.Spills(), pt.BloomSkips(); lh+sp+bs > 0 {
 		fmt.Fprintf(b, "  -- tables: local_hits=%d spills=%d bloom_skips=%d\n", lh, sp, bs)
 	}
-	if rt := pt.Routed(); rt > 0 || len(pt.PartRows) > 0 {
-		fmt.Fprintf(b, "  -- exchange: routed=%d over %d partitions, max partition %d rows",
-			rt, len(pt.PartRows), pt.MaxPartRows())
-		if rt > 0 && len(pt.PartRows) > 0 {
-			// Skew factor: max partition vs the perfectly uniform share.
-			uniform := float64(rt) / float64(len(pt.PartRows))
-			if uniform > 0 {
-				fmt.Fprintf(b, " (skew %.2fx)", float64(pt.MaxPartRows())/uniform)
-			}
-		}
-		b.WriteByte('\n')
-	}
 	jit, vec := pt.RoutedJIT(), pt.RoutedVectorized()
 	if jit+vec > 0 {
 		fmt.Fprintf(b, "  -- routing: %d jit / %d vectorized", jit, vec)
@@ -141,10 +129,6 @@ func writeQueryFooter(b *strings.Builder, res *Result) {
 	if s.HTLocalHits+s.HTSpills+s.HTBloomSkips > 0 {
 		fmt.Fprintf(b, "== tables: local_hits=%d spills=%d bloom_skips=%d\n",
 			s.HTLocalHits, s.HTSpills, s.HTBloomSkips)
-	}
-	if s.PartRoutedRows > 0 {
-		fmt.Fprintf(b, "== exchange: routed=%d max_partition=%d rows\n",
-			s.PartRoutedRows, s.PartMaxPartRows)
 	}
 	fmt.Fprintf(b, "== compile: time=%v wait=%v errors=%d; panics-recovered=%d",
 		s.CompileTime.Round(time.Microsecond), s.CompileWait.Round(time.Microsecond),

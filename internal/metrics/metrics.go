@@ -35,13 +35,10 @@ type Registry struct {
 	compileErrors   atomic.Int64
 	degradedQueries atomic.Int64
 
-	// Hash-table and exchange behaviour, fed from the per-query counters.
-	// htSpillsTotal must stay 0 when every build is exchanged (DESIGN.md §15)
-	// — scripts/check.sh asserts exactly that after its concurrency smoke.
-	htLocalHitsTotal    atomic.Int64
-	htSpillsTotal       atomic.Int64
-	htBloomSkipsTotal   atomic.Int64
-	partRoutedRowsTotal atomic.Int64
+	// Hash-table behaviour, fed from the per-query counters.
+	htLocalHitsTotal  atomic.Int64
+	htSpillsTotal     atomic.Int64
+	htBloomSkipsTotal atomic.Int64
 
 	queryNanos   atomic.Int64
 	compileNanos atomic.Int64
@@ -108,7 +105,6 @@ func (r *Registry) QueryDone(c *stats.Counters, wall time.Duration, err error, c
 	r.htLocalHitsTotal.Add(c.HTLocalHits)
 	r.htSpillsTotal.Add(c.HTSpills)
 	r.htBloomSkipsTotal.Add(c.HTBloomSkips)
-	r.partRoutedRowsTotal.Add(c.PartRoutedRows)
 	// High-water gauge: keep the largest per-query memory peak observed.
 	for {
 		cur := r.memPeakBytes.Load()
@@ -181,10 +177,9 @@ type Snapshot struct {
 	CompileNanos     int64 `json:"compile_nanos"`
 	MemPeakBytes     int64 `json:"mem_peak_bytes"`
 
-	HTLocalHitsTotal    int64 `json:"ht_local_hits_total"`
-	HTSpillsTotal       int64 `json:"ht_spills_total"`
-	HTBloomSkipsTotal   int64 `json:"ht_bloom_skips_total"`
-	PartRoutedRowsTotal int64 `json:"part_routed_rows_total"`
+	HTLocalHitsTotal  int64 `json:"ht_local_hits_total"`
+	HTSpillsTotal     int64 `json:"ht_spills_total"`
+	HTBloomSkipsTotal int64 `json:"ht_bloom_skips_total"`
 
 	SchedAdmitted      int64 `json:"sched_admitted"`
 	SchedShed          int64 `json:"sched_shed"`
@@ -214,10 +209,9 @@ func (r *Registry) Snapshot() Snapshot {
 		CompileNanos:     r.compileNanos.Load(),
 		MemPeakBytes:     r.memPeakBytes.Load(),
 
-		HTLocalHitsTotal:    r.htLocalHitsTotal.Load(),
-		HTSpillsTotal:       r.htSpillsTotal.Load(),
-		HTBloomSkipsTotal:   r.htBloomSkipsTotal.Load(),
-		PartRoutedRowsTotal: r.partRoutedRowsTotal.Load(),
+		HTLocalHitsTotal:  r.htLocalHitsTotal.Load(),
+		HTSpillsTotal:     r.htSpillsTotal.Load(),
+		HTBloomSkipsTotal: r.htBloomSkipsTotal.Load(),
 
 		SchedAdmitted:      r.schedAdmitted.Load(),
 		SchedShed:          r.schedShed.Load(),
@@ -249,10 +243,9 @@ func (r *Registry) Dump() string {
 		"compile_nanos":     s.CompileNanos,
 		"mem_peak_bytes":    s.MemPeakBytes,
 
-		"ht_local_hits_total":    s.HTLocalHitsTotal,
-		"ht_spills_total":        s.HTSpillsTotal,
-		"ht_bloom_skips_total":   s.HTBloomSkipsTotal,
-		"part_routed_rows_total": s.PartRoutedRowsTotal,
+		"ht_local_hits_total":  s.HTLocalHitsTotal,
+		"ht_spills_total":      s.HTSpillsTotal,
+		"ht_bloom_skips_total": s.HTBloomSkipsTotal,
 
 		"sched_admitted":       s.SchedAdmitted,
 		"sched_shed":           s.SchedShed,

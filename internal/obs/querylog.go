@@ -60,11 +60,6 @@ type QueryEvent struct {
 	HTSpills     int64
 	HTBloomSkips int64
 
-	// Exchange routing (DESIGN.md §15): rows hash-routed through local
-	// exchanges and the largest single partition (the skew signal).
-	PartRoutedRows  int64
-	PartMaxPartRows int64
-
 	// Morsel routing (hybrid: how incremental fusion split the work).
 	MorselsCompiled   int64
 	MorselsVectorized int64
@@ -128,12 +123,6 @@ func (e *QueryEvent) attrs() []slog.Attr {
 			slog.Int64("ht_local_hits", e.HTLocalHits),
 			slog.Int64("ht_spills", e.HTSpills),
 			slog.Int64("ht_bloom_skips", e.HTBloomSkips),
-		)
-	}
-	if e.PartRoutedRows > 0 {
-		out = append(out,
-			slog.Int64("part_routed_rows", e.PartRoutedRows),
-			slog.Int64("part_max_part_rows", e.PartMaxPartRows),
 		)
 	}
 	if e.MorselsCompiled > 0 || e.MorselsVectorized > 0 {

@@ -93,49 +93,14 @@ type AggTableState struct {
 	// resizes while holding a shard lock mid-chunk.
 	SizeHint int
 
-	// Partitions > 0 marks an exchange-partitioned build (DESIGN.md §15): the
-	// build pipeline reads one morsel per partition from an ExchangeRead
-	// source and every worker writes straight into its partition of Parted —
-	// no per-worker instances, no thread-local pre-aggregation, no merging.
-	Partitions int
-
-	Global *AggTable            // set by the scheduler after merging
-	Parted *PartitionedAggTable // set by the scheduler before a partitioned build
+	Global *AggTable // set by the scheduler after merging
 }
 
 // Reset drops the merged result and the per-run size hint, making the owning
-// plan reusable for another execution. Partitioned states get a fresh empty
-// partitioned table (mirroring JoinTableState.Reset): the table instance is
-// wired into the plan before execution, not created by the scheduler.
+// plan reusable for another execution.
 func (s *AggTableState) Reset() {
 	s.Global = nil
-	if s.Partitions > 0 {
-		s.Parted = NewPartitionedAggTable(s.Init, s.Partitions)
-	} else {
-		s.Parted = nil
-	}
 	s.SizeHint = 0
-}
-
-// Ready reports whether the build produced a readable table (the AggRead
-// source's precondition).
-func (s *AggTableState) Ready() bool { return s.Global != nil || s.Parted != nil }
-
-// Snapshot returns all group rows of the built table, whichever variant the
-// execution produced.
-func (s *AggTableState) Snapshot() [][]byte {
-	if s.Parted != nil {
-		return s.Parted.Snapshot()
-	}
-	return s.Global.Snapshot()
-}
-
-// Groups returns the number of groups in the built table.
-func (s *AggTableState) Groups() int {
-	if s.Parted != nil {
-		return s.Parted.Groups()
-	}
-	return s.Global.Groups()
 }
 
 // NewInstance creates a fresh table for one worker.
@@ -184,65 +149,15 @@ func (s *AggTableState) mergePayload(drow, row []byte) {
 	}
 }
 
-// JoinTableState wires a join hash table into the generated code. Exactly one
-// of Table (sharded, shared-build) and Parted (exchange-partitioned,
-// single-writer per partition) is set; Partitions > 0 selects the latter.
+// JoinTableState wires a join hash table into the generated code.
 type JoinTableState struct {
 	Table *JoinTable
-
-	// Partitions > 0 marks an exchange-partitioned build (DESIGN.md §15); it
-	// must equal the routing ExchangeState's partition count (VerifyPlan
-	// enforces the agreement before execution).
-	Partitions int
-	Parted     *PartitionedJoinTable
 }
 
-// Reset replaces the sealed table with a fresh empty one of the same layout,
-// making the owning plan reusable for another execution.
+// Reset replaces the sealed table with a fresh empty one of the same shard
+// layout, making the owning plan reusable for another execution.
 func (s *JoinTableState) Reset() {
-	if s.Partitions > 0 {
-		s.Parted = NewPartitionedJoinTable(s.Partitions)
-		return
-	}
 	s.Table = NewJoinTable(s.Table.ShardCount())
-}
-
-// Index returns the probe-side surface of whichever table variant this state
-// carries; generated probe/prefetch code works against it so probing is
-// identical for partitioned and sharded builds.
-//
-//inkfuse:hotpath
-func (s *JoinTableState) Index() JoinIndex {
-	if s.Parted != nil {
-		return s.Parted
-	}
-	return s.Table
-}
-
-// SetBudget charges the active table variant's allocations to the budget.
-func (s *JoinTableState) SetBudget(b *MemBudget) {
-	if s.Parted != nil {
-		s.Parted.SetBudget(b)
-		return
-	}
-	s.Table.SetBudget(b)
-}
-
-// Seal freezes the active table variant for probing.
-func (s *JoinTableState) Seal() {
-	if s.Parted != nil {
-		s.Parted.Seal()
-		return
-	}
-	s.Table.Seal()
-}
-
-// Rows returns the number of build rows in the active table variant.
-func (s *JoinTableState) Rows() int {
-	if s.Parted != nil {
-		return s.Parted.Rows()
-	}
-	return s.Table.Rows()
 }
 
 // LikeState wires a compiled LIKE matcher into the generated code.

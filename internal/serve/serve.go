@@ -719,8 +719,6 @@ func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
 		e.HTLocalHits = res.Stats.HTLocalHits
 		e.HTSpills = res.Stats.HTSpills
 		e.HTBloomSkips = res.Stats.HTBloomSkips
-		e.PartRoutedRows = res.Stats.PartRoutedRows
-		e.PartMaxPartRows = res.Stats.PartMaxPartRows
 		e.MorselsCompiled = res.Stats.MorselsCompiled
 		e.MorselsVectorized = res.Stats.MorselsVectorized
 		e.Degraded = len(res.Warnings) > 0 || res.Stats.CompileErrors > 0

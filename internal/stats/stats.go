@@ -39,13 +39,6 @@ type Counters struct {
 	// HTBloomSkips counts join probes answered "definitely absent" by the
 	// build-side bloom/tag filter without touching bucket memory.
 	HTBloomSkips int64
-	// PartRoutedRows counts rows hash-routed through local exchanges
-	// (DESIGN.md §15); 0 unless a plan was lowered with Exchange on.
-	PartRoutedRows int64
-	// PartMaxPartRows is the largest single exchange partition's routed-row
-	// count across the query — the skew signal (a perfectly uniform exchange
-	// has PartRoutedRows / partitions per partition).
-	PartMaxPartRows int64
 	// EmittedRows counts rows emitted by sinks.
 	EmittedRows int64
 	// MorselsVectorized / MorselsCompiled count the hybrid backend's routing.
@@ -82,8 +75,6 @@ func (c *Counters) Add(o *Counters) {
 	c.HTLocalHits += o.HTLocalHits
 	c.HTSpills += o.HTSpills
 	c.HTBloomSkips += o.HTBloomSkips
-	c.PartRoutedRows += o.PartRoutedRows
-	c.PartMaxPartRows = max(c.PartMaxPartRows, o.PartMaxPartRows)
 	c.EmittedRows += o.EmittedRows
 	c.MorselsVectorized += o.MorselsVectorized
 	c.MorselsCompiled += o.MorselsCompiled

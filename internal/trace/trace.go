@@ -86,11 +86,6 @@ type Pipeline struct {
 	// every ProfileEvery chunks was timed, ProfiledChunks in total.
 	ProfileEvery   int
 	ProfiledChunks int64
-	// PartRows holds the per-partition routed-row counts of the exchanges this
-	// pipeline sealed (concatenated in exchange order) — the skew surface of
-	// the local hash-partitioned exchange (DESIGN.md §15). Empty unless the
-	// plan was lowered with Exchange on and this pipeline routes.
-	PartRows []int64
 }
 
 // SubOpProf is one suboperator's share of a pipeline's sampled profile: the
@@ -129,8 +124,6 @@ type Worker struct {
 	LocalHits  int64
 	Spills     int64
 	BloomSkips int64
-	// Routed counts rows this worker hash-routed through local exchanges.
-	Routed int64
 	// EWMA is the hybrid routing-decision series (capped at MaxEWMASamples).
 	EWMA        []EWMASample
 	EWMADropped int
@@ -245,25 +238,6 @@ func (p *Pipeline) BloomSkips() int64 {
 	return n
 }
 
-// Routed sums rows hash-routed through local exchanges by this pipeline.
-func (p *Pipeline) Routed() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Routed
-	}
-	return n
-}
-
-// MaxPartRows returns the largest sealed partition's routed-row count (the
-// skew signal; 0 when the pipeline routed no exchange).
-func (p *Pipeline) MaxPartRows() int64 {
-	var m int64
-	for _, n := range p.PartRows {
-		m = max(m, n)
-	}
-	return m
-}
-
 // Query-level totals (across pipelines).
 
 // Tuples sums source tuples across the query.
@@ -328,9 +302,6 @@ func (q *Query) Dump() string {
 		}
 		if lh, sp, bs := p.LocalHits(), p.Spills(), p.BloomSkips(); lh+sp+bs > 0 {
 			fmt.Fprintf(&b, "  tables: local_hits=%d spills=%d bloom_skips=%d\n", lh, sp, bs)
-		}
-		if rt := p.Routed(); rt > 0 || len(p.PartRows) > 0 {
-			fmt.Fprintf(&b, "  exchange: routed=%d partitions=%d max_part=%d\n", rt, len(p.PartRows), p.MaxPartRows())
 		}
 		if len(p.SubOps) > 0 {
 			var total int64

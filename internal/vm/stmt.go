@@ -204,14 +204,7 @@ func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
 			}
 			dv := fr.vecs[ds]
 			dv.Resize(n)
-			if st.Partitions > 0 {
-				// Exchange-partitioned build: the chunk's keys all route to
-				// this worker's partitions of the shared table, written
-				// lock-free — no thread-local table, no spills.
-				aggBatchLookupPart(fr, tb, st, keys, seeds, dv.Ptr[:n])
-			} else {
-				aggBatchLookup(fr, tb, st, keys, seeds, dv.Ptr[:n])
-			}
+			aggBatchLookup(fr, tb, st, keys, seeds, dv.Ptr[:n])
 			fr.ctx.Counters.VMOps += int64(n)
 			fr.ctx.Counters.HTProbes += int64(n)
 		})
@@ -267,7 +260,7 @@ func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
 		id := s.StateID
 		ax := c.newAux()
 		*blk = append(*blk, func(fr *frame, n int) {
-			js := fr.state[id].(*rt.JoinTableState)
+			tbl := fr.state[id].(*rt.JoinTableState).Table
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
 			keys := sizedRows(&tb.keys, n)
@@ -278,13 +271,7 @@ func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
 				pays[i] = r[4+len(key):]
 			}
 			tb.hashes = rt.HashBatch(keys, tb.hashes)
-			if js.Parted != nil {
-				// Exchange-partitioned build: single-writer partitions, no
-				// shard grouping or locks.
-				js.Parted.InsertBatch(keys, pays, tb.hashes)
-			} else {
-				js.Table.InsertBatch(keys, pays, tb.hashes, &tb.sc)
-			}
+			tbl.InsertBatch(keys, pays, tb.hashes, &tb.sc)
 			fr.ctx.Counters.VMOps += int64(n)
 			fr.ctx.Counters.HTInserts += int64(n)
 		})
@@ -298,7 +285,7 @@ func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
 		id := s.StateID
 		ax := c.newAux()
 		*blk = append(*blk, func(fr *frame, n int) {
-			tbl := fr.state[id].(*rt.JoinTableState).Index()
+			tbl := fr.state[id].(*rt.JoinTableState).Table
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
 			keys := sizedRows(&tb.keys, n)
@@ -315,31 +302,6 @@ func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
 			}
 			fr.prefetchSink = acc
 			fr.ctx.Counters.VMOps += int64(n)
-		})
-		return nil
-
-	case ir.Partition:
-		rs, err := c.slot(s.Row)
-		if err != nil {
-			return err
-		}
-		id := s.StateID
-		ax := c.newAux()
-		*blk = append(*blk, func(fr *frame, n int) {
-			st := fr.state[id].(*rt.ExchangeState)
-			w := fr.ctx.Exchange(st)
-			tb := auxBatch(fr, ax)
-			rows := fr.vecs[rs].Ptr[:n]
-			keys := sizedRows(&tb.keys, n)
-			for i, r := range rows {
-				keys[i] = rt.RowKey(r)
-			}
-			tb.hashes = rt.HashBatch(keys, tb.hashes)
-			for i, r := range rows {
-				w.Route(r, tb.hashes[i])
-			}
-			fr.ctx.Counters.VMOps += int64(n)
-			fr.ctx.Counters.PartRoutedRows += int64(n)
 		})
 		return nil
 
@@ -512,7 +474,7 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 	id := s.StateID
 	mode := s.Mode
 	*blk = append(*blk, func(fr *frame, n int) {
-		tbl := fr.state[id].(*rt.JoinTableState).Index()
+		tbl := fr.state[id].(*rt.JoinTableState).Table
 		probeRows := fr.vecs[prs].Ptr[:n]
 		tb := auxBatch(fr, batchAux)
 		keys := sizedRows(&tb.keys, n)

@@ -29,21 +29,19 @@ type Ctx struct {
 	// allocate; worker-private tables created through this Ctx charge to it.
 	Budget *rt.MemBudget
 
-	scratch   map[*rt.RowLayoutState]*rt.RowScratch
-	aggs      map[*rt.AggTableState]*rt.AggTable
-	locals    map[*rt.AggTableState]*rt.LocalAggTable
-	exchanges map[*rt.ExchangeState]*rt.ExchangeWriter
-	frames    map[*Program]*frame
+	scratch map[*rt.RowLayoutState]*rt.RowScratch
+	aggs    map[*rt.AggTableState]*rt.AggTable
+	locals  map[*rt.AggTableState]*rt.LocalAggTable
+	frames  map[*Program]*frame
 }
 
 // NewCtx creates an execution context.
 func NewCtx() *Ctx {
 	return &Ctx{
-		scratch:   make(map[*rt.RowLayoutState]*rt.RowScratch),
-		aggs:      make(map[*rt.AggTableState]*rt.AggTable),
-		locals:    make(map[*rt.AggTableState]*rt.LocalAggTable),
-		exchanges: make(map[*rt.ExchangeState]*rt.ExchangeWriter),
-		frames:    make(map[*Program]*frame),
+		scratch: make(map[*rt.RowLayoutState]*rt.RowScratch),
+		aggs:    make(map[*rt.AggTableState]*rt.AggTable),
+		locals:  make(map[*rt.AggTableState]*rt.LocalAggTable),
+		frames:  make(map[*Program]*frame),
 	}
 }
 
@@ -78,19 +76,6 @@ func (c *Ctx) LocalAgg(st *rt.AggTableState) *rt.LocalAggTable {
 		c.locals[st] = l
 	}
 	return l
-}
-
-// Exchange returns this worker's private routing writer for an exchange
-// (local hash-partitioned exchange, DESIGN.md §15). Registration with the
-// shared state happens once per (worker, exchange); routing through the
-// returned writer is lock-free.
-func (c *Ctx) Exchange(st *rt.ExchangeState) *rt.ExchangeWriter {
-	w, ok := c.exchanges[st]
-	if !ok {
-		w = st.NewWriter()
-		c.exchanges[st] = w
-	}
-	return w
 }
 
 // FlushLocalAggs spills every thread-local pre-aggregation table into its

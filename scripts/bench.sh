@@ -6,7 +6,6 @@
 #   SF=0.05 RUNS=5 scripts/bench.sh  # override scale factor / repetitions
 #   CONC=8 scripts/bench.sh          # top client count of the concurrency series
 #   WORKERS=4 scripts/bench.sh       # worker threads per query (0 = GOMAXPROCS)
-#   EXCHANGE=off scripts/bench.sh    # drop the exchange A/B axis (off | on | both)
 #   BASE=BENCH_PR6.json scripts/bench.sh  # override the delta baseline
 #
 # Absolute numbers are host-dependent; the committed artifact records the
@@ -22,12 +21,11 @@ sf="${SF:-0.1}"
 runs="${RUNS:-3}"
 conc="${CONC:-8}"
 workers="${WORKERS:-4}"
-exchange="${EXCHANGE:-both}"
 base="${BASE:-BENCH_PR6.json}"
 
-echo "bench: SF ${sf}, ${runs} runs/cell, 8 queries x 4 backends, exchange=${exchange}, ${workers} workers, concurrency series up to ${conc} clients" >&2
+echo "bench: SF ${sf}, ${runs} runs/cell, 8 queries x 4 backends, ${workers} workers, concurrency series up to ${conc} clients" >&2
 go run ./cmd/inkbench -json -sf "$sf" -runs "$runs" -workers "$workers" \
-    -exchange "$exchange" -concurrency "$conc" -conc-queue 2 > "$out"
+    -concurrency "$conc" -conc-queue 2 > "$out"
 echo "bench: wrote $out" >&2
 
 if [ -f "$base" ] && [ "$base" != "$out" ]; then
