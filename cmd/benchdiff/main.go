@@ -13,6 +13,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
+
+	"inkfuse/internal/stats"
 )
 
 type cell struct {
@@ -21,9 +25,29 @@ type cell struct {
 	WallMS  float64 `json:"wall_ms"`
 	Rows    int64   `json:"rows"`
 
-	HTLocalHits  int64 `json:"ht_local_hits"`
-	HTSpills     int64 `json:"ht_spills"`
-	HTBloomSkips int64 `json:"ht_bloom_skips"`
+	// stats holds the cell's Bench counters (stats.Fields), decoded by name.
+	stats stats.Counters
+}
+
+// UnmarshalJSON decodes the cell's fields and its Bench counters.
+func (c *cell) UnmarshalJSON(data []byte) error {
+	type plain cell
+	if err := json.Unmarshal(data, (*plain)(c)); err != nil {
+		return err
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	for i := range stats.Fields {
+		f := &stats.Fields[i]
+		if v, ok := raw[f.Name]; ok && f.On&stats.Bench != 0 {
+			if err := json.Unmarshal(v, f.Get(&c.stats)); err != nil {
+				return fmt.Errorf("%s: %w", f.Name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // key identifies a cell across artifacts.
@@ -31,8 +55,23 @@ func (c cell) key() string { return c.Query + "/" + c.Backend }
 
 // counters reports whether the cell carries any behaviour counters worth
 // diffing (older artifacts predate them and decode as all-zero).
-func (c cell) counters() bool {
-	return c.HTLocalHits != 0 || c.HTSpills != 0 || c.HTBloomSkips != 0
+func (c cell) counters() bool { return c.stats.Line(stats.Bench) != "" }
+
+// benchColumns joins the Bench counters with "/": their names when c is
+// nil, else their values in c.
+func benchColumns(c *stats.Counters) string {
+	var parts []string
+	for i := range stats.Fields {
+		f := &stats.Fields[i]
+		switch {
+		case f.On&stats.Bench == 0:
+		case c == nil:
+			parts = append(parts, f.Name)
+		default:
+			parts = append(parts, strconv.FormatInt(*f.Get(c), 10))
+		}
+	}
+	return strings.Join(parts, "/")
 }
 
 type report struct {
@@ -136,15 +175,14 @@ func diff(w io.Writer, basePath, nextPath string, threshold float64) (int, error
 		fmt.Fprintf(w, "%-6s %-11s %10.2f %10.2f %+8.1f%%%s\n", c.Query, c.Backend, b.WallMS, c.WallMS, 100*delta, mark)
 	}
 	if anyCounters {
-		fmt.Fprintf(w, "\ncounter deltas (local_hits/spills/bloom_skips, base -> new):\n")
+		fmt.Fprintf(w, "\ncounter deltas (%s, base -> new):\n", benchColumns(nil))
 		for _, c := range next.Cells {
 			b, ok := old[c.key()]
 			if !ok || (!b.counters() && !c.counters()) {
 				continue
 			}
-			fmt.Fprintf(w, "%-6s %-11s %d/%d/%d -> %d/%d/%d\n", c.Query, c.Backend,
-				b.HTLocalHits, b.HTSpills, b.HTBloomSkips,
-				c.HTLocalHits, c.HTSpills, c.HTBloomSkips)
+			fmt.Fprintf(w, "%-6s %-11s %s -> %s\n", c.Query, c.Backend,
+				benchColumns(&b.stats), benchColumns(&c.stats))
 		}
 	}
 	if regressions > 0 {

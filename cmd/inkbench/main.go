@@ -40,6 +40,7 @@ import (
 
 	"inkfuse"
 	"inkfuse/internal/benchkit"
+	"inkfuse/internal/exec"
 	"inkfuse/internal/tpch"
 )
 
@@ -237,29 +238,8 @@ func emitQueryEvent(logger *slog.Logger, query, source, backend, fingerprint str
 	if logger == nil {
 		return
 	}
-	e := &inkfuse.QueryEvent{
-		Query: query, Source: source, Backend: backend, Fingerprint: fingerprint,
-		Outcome: "ok",
-	}
-	if err != nil {
-		e.Outcome = "error"
-		e.Error = err.Error()
-	}
-	if res != nil {
-		e.ID = res.QueryID
-		e.Rows = res.Rows()
-		e.Tuples = res.Stats.Tuples
-		e.Wall = res.Wall
-		e.QueueWait = res.QueueWait
-		e.CompileTime = res.Stats.CompileTime
-		e.CompileWait = res.Stats.CompileWait
-		e.HTLocalHits = res.Stats.HTLocalHits
-		e.HTSpills = res.Stats.HTSpills
-		e.HTBloomSkips = res.Stats.HTBloomSkips
-		e.MorselsCompiled = res.Stats.MorselsCompiled
-		e.MorselsVectorized = res.Stats.MorselsVectorized
-		e.Degraded = len(res.Warnings) > 0 || res.Stats.CompileErrors > 0
-	}
+	e := exec.NewQueryEvent(res, err)
+	e.Query, e.Source, e.Backend, e.Fingerprint = query, source, backend, fingerprint
 	e.Emit(logger)
 }
 

@@ -30,7 +30,6 @@ import (
 	"inkfuse/internal/exec"
 	"inkfuse/internal/interp"
 	"inkfuse/internal/ir"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/sql"
 	"inkfuse/internal/storage"
@@ -196,19 +195,14 @@ func ExplainAnalyzeContext(ctx context.Context, node Node, name string, opts Opt
 	return exec.ExplainAnalyze(ctx, plan, opts)
 }
 
-// MetricsText renders the engine-wide metrics registry (queries started /
-// succeeded / failed / canceled, tuples, panics recovered, compile errors,
-// memory peaks, ...) as "name value" lines. The same registry is exported
-// via expvar under the key "inkfuse" for any HTTP server that mounts
-// /debug/vars. Metrics are fed once per query at query end — they cost the
-// hot path nothing.
+// MetricsText renders the engine-wide registry's flat values (queries
+// started / succeeded / failed / canceled, tuples, panics recovered, compile
+// errors, memory peaks, ...) as "name value" lines. The same values are
+// exported via expvar under the key "inkfuse" for any HTTP server that
+// mounts /debug/vars. They are fed once per query at query end — they cost
+// the hot path nothing.
 func MetricsText() string {
-	return metrics.Default.Dump()
-}
-
-// MetricsSnapshot returns a point-in-time copy of the engine-wide metrics.
-func MetricsSnapshot() MetricsValues {
-	return metrics.Default.Snapshot()
+	return obs.Default.Dump()
 }
 
 // PrometheusText renders the engine's observability state — the flat metrics
@@ -222,12 +216,6 @@ func MetricsSnapshot() MetricsValues {
 //	})
 func PrometheusText() string {
 	return obs.Default.PrometheusText()
-}
-
-// ObsSummaryText renders the histogram families as human-readable
-// count/p50/p90/p99 lines — the terminal-friendly view of PrometheusText.
-func ObsSummaryText() string {
-	return obs.Default.SummaryText()
 }
 
 // PrimitiveCount reports how many vectorized primitives the engine generates

@@ -146,7 +146,7 @@ func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, 
 		Query: query, System: sys.Name,
 		Wall: res.Wall, CompileWait: res.Stats.CompileWait,
 		Rows: res.Rows(), Stats: res.Stats,
-		Degraded: len(res.Warnings) > 0 || res.Stats.CompileErrors > 0,
+		Degraded: res.Degraded(),
 	}, nil
 }
 
@@ -262,11 +262,28 @@ type JSONCell struct {
 	// second of wall time) — the same rate the /metrics histograms track.
 	RowsPerSec float64 `json:"rows_per_sec"`
 	Degraded   bool    `json:"degraded,omitempty"`
-	// Hash-table behaviour counters: trend tooling watches these alongside
+	// Stats are the cell's counters; the schema entries claiming the Bench
+	// surface (stats.Fields) are written after the fields above, each under
+	// its name and only when nonzero. Trend tooling watches them alongside
 	// wall time.
-	HTLocalHits  int64 `json:"ht_local_hits,omitempty"`
-	HTSpills     int64 `json:"ht_spills,omitempty"`
-	HTBloomSkips int64 `json:"ht_bloom_skips,omitempty"`
+	Stats stats.Counters `json:"-"`
+}
+
+// MarshalJSON writes the cell's fields followed by its Bench counters.
+func (c JSONCell) MarshalJSON() ([]byte, error) {
+	type plain JSONCell
+	b, err := json.Marshal(plain(c))
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object
+	for i := range stats.Fields {
+		f := &stats.Fields[i]
+		if v := *f.Get(&c.Stats); f.On&stats.Bench != 0 && v != 0 {
+			b = fmt.Appendf(b, ",%q:%d", f.Name, v)
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // JSONReport is a full benchmark grid with its configuration.
@@ -297,9 +314,7 @@ func JSONBench(cfg Config, systems []System) (*JSONReport, error) {
 				WallMS:        float64(c.Wall) / float64(time.Millisecond),
 				CompileWaitMS: float64(c.CompileWait) / float64(time.Millisecond),
 				Rows:          c.Rows, Degraded: c.Degraded,
-				HTLocalHits:  c.Stats.HTLocalHits,
-				HTSpills:     c.Stats.HTSpills,
-				HTBloomSkips: c.Stats.HTBloomSkips,
+				Stats: c.Stats,
 			}
 			if secs := c.Wall.Seconds(); secs > 0 {
 				jc.RowsPerSec = float64(c.Stats.Tuples) / secs

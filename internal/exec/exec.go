@@ -14,7 +14,6 @@ import (
 	"inkfuse/internal/faultinject"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/interp"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/rt"
 	"inkfuse/internal/sched"
@@ -138,6 +137,33 @@ func (r *Result) Rows() int {
 	return r.Chunk.Rows()
 }
 
+// Degraded reports whether the query ran degraded: a background compile
+// failed and a pipeline was served by the vectorized interpreter alone.
+func (r *Result) Degraded() bool {
+	return len(r.Warnings) > 0 || r.Stats.CompileErrors > 0
+}
+
+// NewQueryEvent builds the canonical query-log event of one execution from
+// its result (nil when the query never ran) and terminal error; callers add
+// identity and routing. A failed query's outcome is "error" until the caller
+// classifies it.
+func NewQueryEvent(res *Result, err error) *obs.QueryEvent {
+	e := &obs.QueryEvent{Outcome: "ok"}
+	if err != nil {
+		e.Outcome = "error"
+		e.Error = err.Error()
+	}
+	if res != nil {
+		e.ID = res.QueryID
+		e.Rows = res.Rows()
+		e.Wall = res.Wall
+		e.QueueWait = res.QueueWait
+		e.Stats = res.Stats
+		e.Degraded = res.Degraded()
+	}
+	return e
+}
+
 // runner executes one pipeline's morsels for one backend.
 type runner interface {
 	runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk)
@@ -239,7 +265,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	}
 	start := time.Now()
 	qs := &queryState{ctx: ctx}
-	metrics.Default.QueryStarted()
+	obs.Default.Add(obs.QueriesStarted, 1)
 	backend := opts.Backend.String()
 	// The per-morsel latency histogram child is resolved once per query; the
 	// morsel loop observes through the pointer (two atomic adds per morsel).
@@ -257,6 +283,23 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	qlabel := flight.Default.Intern(plan.Name)
 	flight.Default.Record(flight.KindQueryStart, qid, qlabel, int64(opts.Backend), 0)
 
+	// done is the one query-end epilogue, success or failure: the process
+	// registry (outcome, counter totals, histograms) and the flight record.
+	// res is nil when the query never ran.
+	done := func(res *Result, wall time.Duration, err error) {
+		var c *stats.Counters
+		if res != nil {
+			c = &res.Stats
+		}
+		canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
+		obs.Default.QueryDone(backend, c, wall, err, canceled, err == nil && res.Degraded())
+		if err != nil {
+			flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
+		} else {
+			flight.Default.Record(flight.KindQueryDone, qid, qlabel, int64(wall), int64(res.Rows()))
+		}
+	}
+
 	// Admission: the query enters the engine-wide scheduler before it builds
 	// any state. A rejected query (queue full, draining, over-capacity, or a
 	// context that expired while queued) never ran — no worker contexts, no
@@ -271,11 +314,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	})
 	if err != nil {
 		err = admissionError(err)
-		wall := time.Since(start)
-		canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
-		metrics.Default.QueryDone(nil, wall, err, canceled, false)
-		obs.Default.ObserveQuery(backend, wall, 0)
-		flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
+		done(nil, time.Since(start), err)
 		return nil, err
 	}
 	defer adm.Release()
@@ -296,10 +335,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	if opts.Backend != BackendCompiling && opts.Backend != BackendROF {
 		var err error
 		if reg, err = interp.Default(); err != nil {
-			wall := time.Since(start)
-			metrics.Default.QueryDone(nil, wall, err, false, false)
-			obs.Default.ObserveQuery(backend, wall, 0)
-			flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
+			done(nil, time.Since(start), err)
 			return nil, err
 		}
 	}
@@ -340,14 +376,12 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			qt.Wall = wall
 			qt.Err = err.Error()
 		}
-		canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
-		metrics.Default.QueryDone(&res, wall, err, canceled, false)
-		obs.Default.ObserveQuery(backend, wall, res.Tuples)
-		flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
-		return &Result{
+		r := &Result{
 			Cols: plan.ColNames, Stats: res, QueryID: qid, QueueWait: queueWait,
 			Wall: wall, Warnings: warnings, Trace: qt,
-		}, err
+		}
+		done(r, wall, err)
+		return r, err
 	}
 
 	// The hybrid backend starts background compilation for every pipeline as
@@ -429,19 +463,14 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			if outs != nil {
 				out = outs[slot]
 			}
-			// Trace recording works by deltas over the slot's own counters,
-			// so the runner's per-morsel accounting (tuples, hybrid routing)
-			// is captured without touching hot paths. The morsel is always
-			// timed: the duration feeds the process-wide latency histogram
-			// even when tracing is off.
-			var tup0, jit0, vec0, lh0, sp0, bs0 int64
+			// Trace recording works by one delta over the slot's own
+			// counters, so the runner's per-morsel accounting (tuples,
+			// hybrid routing, table behaviour) is captured without touching
+			// hot paths. The morsel is always timed: the duration feeds the
+			// process-wide latency histogram even when tracing is off.
+			var before stats.Counters
 			if pt != nil {
-				tup0 = wctx.Counters.Tuples
-				jit0 = wctx.Counters.MorselsCompiled
-				vec0 = wctx.Counters.MorselsVectorized
-				lh0 = wctx.Counters.HTLocalHits
-				sp0 = wctx.Counters.HTSpills
-				bs0 = wctx.Counters.HTBloomSkips
+				before = wctx.Counters
 			}
 			t0 := time.Now()
 			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], out)
@@ -451,12 +480,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 				wt := &pt.Workers[slot]
 				wt.Busy += elapsed
 				wt.Morsels++
-				wt.Tuples += wctx.Counters.Tuples - tup0
-				wt.JIT += int(wctx.Counters.MorselsCompiled - jit0)
-				wt.Vectorized += int(wctx.Counters.MorselsVectorized - vec0)
-				wt.LocalHits += wctx.Counters.HTLocalHits - lh0
-				wt.Spills += wctx.Counters.HTSpills - sp0
-				wt.BloomSkips += wctx.Counters.HTBloomSkips - bs0
+				wt.Counters.AddSince(&wctx.Counters, &before)
 			}
 			if err != nil {
 				qs.fail(err)
@@ -539,10 +563,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 
 	kinds, err := plan.FinalKinds()
 	if err != nil {
-		wall := time.Since(start)
-		metrics.Default.QueryDone(&res, wall, err, false, false)
-		obs.Default.ObserveQuery(backend, wall, res.Tuples)
-		flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
+		done(&Result{Stats: res}, time.Since(start), err)
 		return nil, err
 	}
 	out := storage.NewChunk(kinds)
@@ -556,13 +577,12 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	if qt != nil {
 		qt.Wall = wall
 	}
-	metrics.Default.QueryDone(&res, wall, nil, false, len(warnings) > 0)
-	obs.Default.ObserveQuery(backend, wall, res.Tuples)
-	flight.Default.Record(flight.KindQueryDone, qid, qlabel, int64(wall), int64(out.Rows()))
-	return &Result{
+	r := &Result{
 		Cols: plan.ColNames, Chunk: out, Stats: res, QueryID: qid, QueueWait: queueWait,
 		Wall: wall, Warnings: warnings, Trace: qt,
-	}, nil
+	}
+	done(r, wall, nil)
+	return r, nil
 }
 
 // runMorselSafe executes one morsel with panic isolation: a panic anywhere

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"inkfuse/internal/core"
+	"inkfuse/internal/stats"
 	"inkfuse/internal/trace"
 )
 
@@ -104,13 +105,13 @@ func writePipelineAnalysis(b *strings.Builder, pt *trace.Pipeline, workers int) 
 				s.ID, share, time.Duration(s.Nanos).Round(time.Microsecond), s.Calls, s.Tuples, s.NanosPerTuple())
 		}
 	}
-	if lh, sp, bs := pt.LocalHits(), pt.Spills(), pt.BloomSkips(); lh+sp+bs > 0 {
-		fmt.Fprintf(b, "  -- tables: local_hits=%d spills=%d bloom_skips=%d\n", lh, sp, bs)
+	pc := pt.Counters()
+	if line := pc.Line(stats.Tables); line != "" {
+		fmt.Fprintf(b, "  -- tables: %s\n", line)
 	}
-	jit, vec := pt.RoutedJIT(), pt.RoutedVectorized()
-	if jit+vec > 0 {
+	if jit, vec := pc.MorselsCompiled, pc.MorselsVectorized; jit+vec > 0 {
 		fmt.Fprintf(b, "  -- routing: %d jit / %d vectorized", jit, vec)
-		if jit+vec == pt.MorselsRun() && jit+vec > 0 {
+		if jit+vec == int64(pt.MorselsRun()) {
 			fmt.Fprintf(b, " (%.0f%% jit)", 100*float64(jit)/float64(jit+vec))
 		}
 		if ej, ev := pt.FinalEWMA(); ej > 0 || ev > 0 {
@@ -126,9 +127,8 @@ func writeQueryFooter(b *strings.Builder, res *Result) {
 	s := &res.Stats
 	fmt.Fprintf(b, "== totals: tuples=%d vm-ops/tuple=%s buffer-bytes/tuple=%s ht-probes/tuple=%s\n",
 		s.Tuples, s.PerTuple(s.VMOps), s.PerTuple(s.MaterializedBytes), s.PerTuple(s.HTProbes))
-	if s.HTLocalHits+s.HTSpills+s.HTBloomSkips > 0 {
-		fmt.Fprintf(b, "== tables: local_hits=%d spills=%d bloom_skips=%d\n",
-			s.HTLocalHits, s.HTSpills, s.HTBloomSkips)
+	if line := s.Line(stats.Tables); line != "" {
+		fmt.Fprintf(b, "== tables: %s\n", line)
 	}
 	fmt.Fprintf(b, "== compile: time=%v wait=%v errors=%d; panics-recovered=%d",
 		s.CompileTime.Round(time.Microsecond), s.CompileWait.Round(time.Microsecond),

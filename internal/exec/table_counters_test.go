@@ -47,7 +47,7 @@ func TestAggLocalHitsReported(t *testing.T) {
 					t.Errorf("explain output missing %q:\n%s", want, out)
 				}
 			}
-			if tr := res.Trace; tr.Pipelines[0].LocalHits() == 0 {
+			if tr := res.Trace; tr.Pipelines[0].Counters().HTLocalHits == 0 {
 				t.Error("trace pipeline 0 lost the local-hit counts")
 			}
 		})

@@ -15,6 +15,7 @@ import (
 
 	"inkfuse/internal/algebra"
 	"inkfuse/internal/faultinject"
+	"inkfuse/internal/stats"
 )
 
 func TestTraceMatchesStatsAllBackends(t *testing.T) {
@@ -46,17 +47,25 @@ func TestTraceMatchesStatsAllBackends(t *testing.T) {
 				}
 			}
 			// The trace's independent accounting equals the stats counters.
-			if got, want := tr.Tuples(), res.Stats.Tuples; got != want {
+			tc := tr.Counters()
+			if got, want := tc.Tuples, res.Stats.Tuples; got != want {
 				t.Fatalf("trace tuples %d != stats tuples %d", got, want)
 			}
-			if got, want := int64(tr.RoutedJIT()), res.Stats.MorselsCompiled; got != want {
+			if got, want := tc.MorselsCompiled, res.Stats.MorselsCompiled; got != want {
 				t.Fatalf("trace jit %d != stats MorselsCompiled %d", got, want)
 			}
-			if got, want := int64(tr.RoutedVectorized()), res.Stats.MorselsVectorized; got != want {
+			if got, want := tc.MorselsVectorized, res.Stats.MorselsVectorized; got != want {
 				t.Fatalf("trace vectorized %d != stats MorselsVectorized %d", got, want)
 			}
-			if got, want := int64(tr.RoutedJIT()+tr.RoutedVectorized()), res.Stats.MorselsCompiled+res.Stats.MorselsVectorized; got != want {
+			if got, want := tc.MorselsCompiled+tc.MorselsVectorized, res.Stats.MorselsCompiled+res.Stats.MorselsVectorized; got != want {
 				t.Fatalf("trace routing sum %d != stats routing sum %d", got, want)
+			}
+			// Every per-morsel counter agrees too; compile accounting and the
+			// memory peak are charged per pipeline and per query, not per
+			// morsel, so the trace's deltas leave them zero.
+			want := perMorsel(res.Stats)
+			if tc != want {
+				t.Fatalf("trace counters differ from stats:\ntrace %+v\nstats %+v", tc, want)
 			}
 			// Workers recorded busy time for the work they did.
 			for _, pt := range tr.Pipelines {
@@ -69,6 +78,13 @@ func TestTraceMatchesStatsAllBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// perMorsel zeroes the counters that are not accumulated per morsel: the
+// compile accounting (per pipeline) and the memory peak (per query).
+func perMorsel(c stats.Counters) stats.Counters {
+	c.CompileWait, c.CompileTime, c.CompileErrors, c.MemPeakBytes = 0, 0, 0, 0
+	return c
 }
 
 func TestTraceHybridRoutingSeries(t *testing.T) {
@@ -84,7 +100,7 @@ func TestTraceHybridRoutingSeries(t *testing.T) {
 	// With zero compile latency the artifact lands almost immediately: the
 	// trace must show JIT morsels, EWMA samples, and the artifact timestamp.
 	tr := res.Trace
-	if tr.RoutedJIT() == 0 {
+	if tr.Counters().MorselsCompiled == 0 {
 		t.Fatal("hybrid trace recorded no JIT-routed morsels")
 	}
 	var samples int
@@ -151,12 +167,16 @@ func TestCanceledQueryPartialTrace(t *testing.T) {
 			t.Fatalf("%s: %d morsels run out of %d scheduled", pt.Name, pt.MorselsRun(), pt.Morsels)
 		}
 	}
-	if tr.Tuples() != res.Stats.Tuples {
-		t.Fatalf("partial trace tuples %d != stats %d", tr.Tuples(), res.Stats.Tuples)
+	tc := tr.Counters()
+	if tc.Tuples != res.Stats.Tuples {
+		t.Fatalf("partial trace tuples %d != stats %d", tc.Tuples, res.Stats.Tuples)
 	}
-	if int64(tr.RoutedJIT()) != res.Stats.MorselsCompiled || int64(tr.RoutedVectorized()) != res.Stats.MorselsVectorized {
+	if tc.MorselsCompiled != res.Stats.MorselsCompiled || tc.MorselsVectorized != res.Stats.MorselsVectorized {
 		t.Fatalf("partial trace routing (%d/%d) != stats (%d/%d)",
-			tr.RoutedJIT(), tr.RoutedVectorized(), res.Stats.MorselsCompiled, res.Stats.MorselsVectorized)
+			tc.MorselsCompiled, tc.MorselsVectorized, res.Stats.MorselsCompiled, res.Stats.MorselsVectorized)
+	}
+	if want := perMorsel(res.Stats); tc != want {
+		t.Fatalf("partial trace counters differ from stats:\ntrace %+v\nstats %+v", tc, want)
 	}
 	// The dump of a partial trace renders without panicking.
 	if !strings.Contains(tr.Dump(), "err=") {

@@ -1,8 +1,14 @@
-// Package obs is the serving-grade observability layer on top of
-// internal/metrics: lock-free fixed-bucket histograms for latency and
-// throughput distributions, grouped into label families (one child per
-// execution backend), with p50/p90/p99 summaries and a Prometheus
-// text-exposition renderer that folds in the flat engine counters.
+// Package obs is the engine's process-wide observability registry: flat
+// counters and gauges, lock-free fixed-bucket histograms for latency and
+// throughput distributions grouped into label families (one child per
+// execution backend), and the canonical per-query log event.
+//
+// The flat values come from two declarations, each made once: the event
+// counters below (queries, scheduler, plan cache) and the process totals of
+// the stats telemetry schema (stats.Fields with the Totals surface). The
+// Prometheus text, the MetricsText dump and the expvar view all render the
+// one sorted list samples returns. Flat values are fed at query end,
+// admission or cache lookup — never from per-row or per-morsel hot paths.
 //
 // The recording discipline matches the rest of the engine's observability
 // stack: histograms are fed at morsel granularity or coarser (never per row
@@ -12,6 +18,7 @@
 package obs
 
 import (
+	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -20,7 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"inkfuse/internal/metrics"
+	"inkfuse/internal/stats"
 )
 
 // LatencyBounds are the default histogram bounds for durations, in seconds:
@@ -120,21 +127,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Summary is the compact quantile view of a histogram.
-type Summary struct {
-	Count         int64
-	Sum           float64
-	P50, P90, P99 float64
-}
-
-// Summarize estimates the standard serving quantiles.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.Count(), Sum: h.Sum(),
-		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-	}
-}
-
 // Family is one named histogram metric with a single label dimension
 // (default "backend"); children are created on first use and live forever,
 // matching the bounded label cardinality.
@@ -190,11 +182,65 @@ func (f *Family) labels() []string {
 	return out
 }
 
-// Registry groups the engine's histogram families. The exported distributions
-// are labeled by backend only: per-pipeline and per-suboperator breakdowns
-// have unbounded name cardinality and live in the per-query trace /
-// EXPLAIN ANALYZE instead (DESIGN.md §9).
+// Event names one process-wide event counter or gauge. The engine layers
+// feed them through Registry.Add.
+type Event uint8
+
+// The event counters, fed by exec (queries), sched (admission) and
+// plancache (fingerprint lookups).
+const (
+	QueriesStarted Event = iota
+	QueriesSucceeded
+	QueriesFailed
+	QueriesCanceled
+	DegradedQueries
+	QueryNanos
+	SchedAdmitted
+	SchedShed
+	SchedQueueTimeouts
+	SchedDrainCanceled
+	SchedRunning
+	SchedQueued
+	PlanCacheHits
+	PlanCacheMisses
+	PlanCacheEvictions
+	numEvents
+)
+
+// events declares each event counter once: exported name, help, and whether
+// it is a point-in-time gauge rather than a monotonic counter.
+var events = [numEvents]struct {
+	name, help string
+	gauge      bool
+}{
+	QueriesStarted:     {"queries_started", "Queries that entered the engine.", false},
+	QueriesSucceeded:   {"queries_succeeded", "Queries that completed successfully.", false},
+	QueriesFailed:      {"queries_failed", "Queries that failed.", false},
+	QueriesCanceled:    {"queries_canceled", "Queries canceled or past their deadline.", false},
+	DegradedQueries:    {"degraded_queries", "Successful queries that ran degraded after a failed background compile.", false},
+	QueryNanos:         {"query_nanos", "Total query wall time in nanoseconds.", false},
+	SchedAdmitted:      {"sched_admitted", "Queries admitted into the worker pool.", false},
+	SchedShed:          {"sched_shed", "Queries shed because the admission queue was full.", false},
+	SchedQueueTimeouts: {"sched_queue_timeouts", "Queued admissions abandoned by their context.", false},
+	SchedDrainCanceled: {"sched_drain_canceled", "Queries canceled by a drain deadline.", false},
+	SchedRunning:       {"sched_running", "Admitted queries running now.", true},
+	SchedQueued:        {"sched_queued", "Admissions waiting in the queue now.", true},
+	PlanCacheHits:      {"plancache_hits", "Fingerprint lookups served from the plan cache.", false},
+	PlanCacheMisses:    {"plancache_misses", "Fingerprint lookups that built a fresh plan.", false},
+	PlanCacheEvictions: {"plancache_evictions", "Plan-cache entries evicted by the LRU bound.", false},
+}
+
+// Registry is the process-wide observability state: the event counters,
+// the stats schema's process totals, and the histogram families. The
+// exported distributions are labeled by backend only: per-pipeline and
+// per-suboperator breakdowns have unbounded name cardinality and live in the
+// per-query trace / EXPLAIN ANALYZE instead (DESIGN.md §9). All methods are
+// safe for concurrent use.
 type Registry struct {
+	events [numEvents]atomic.Int64
+	// totals is indexed like stats.Fields; only Totals entries move.
+	totals []atomic.Int64
+
 	// QueryLatency is end-to-end query wall time, per backend.
 	QueryLatency *Family
 	// MorselLatency is per-morsel execution time (the scheduler's unit of
@@ -208,9 +254,10 @@ type Registry struct {
 	QueueWait *Family
 }
 
-// NewRegistry creates an empty histogram registry.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
+		totals:        make([]atomic.Int64, len(stats.Fields)),
 		QueryLatency:  NewFamily("inkfuse_query_seconds", "End-to-end query latency by backend.", LatencyBounds),
 		MorselLatency: NewFamily("inkfuse_morsel_seconds", "Per-morsel execution latency by backend.", LatencyBounds),
 		QueryRows:     NewFamily("inkfuse_query_rows_per_second", "Per-query source-row throughput by backend.", ThroughputBounds),
@@ -218,13 +265,60 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide histogram registry, fed by internal/exec from
-// the same end-of-query hook as the flat metrics counters (plus one
-// per-morsel latency observation from the scheduler).
+// Default is the process-wide registry, fed by internal/exec at query end
+// (plus one per-morsel latency observation), by internal/sched and by
+// internal/plancache. It is published through expvar as "inkfuse".
 var Default = NewRegistry()
 
-// ObserveQuery folds one finished query into the registry: wall-time latency
-// and source-row throughput. Called once per query, success or failure.
+func init() {
+	expvar.Publish("inkfuse", expvar.Func(func() any { return Default.Snapshot() }))
+}
+
+// Add moves an event counter by n (gauges move by ±1).
+func (r *Registry) Add(e Event, n int64) {
+	r.events[e].Add(n)
+}
+
+// QueryDone folds one finished query into the registry: its outcome, its
+// wall time, the process totals of its merged counters, and the latency and
+// throughput histograms of its backend. c may be nil when the query died
+// before executing; canceled marks a cancellation or deadline error, and
+// degraded a successful query that ran degraded.
+func (r *Registry) QueryDone(backend string, c *stats.Counters, wall time.Duration, err error, canceled, degraded bool) {
+	switch {
+	case err == nil:
+		r.Add(QueriesSucceeded, 1)
+	case canceled:
+		r.Add(QueriesCanceled, 1)
+	default:
+		r.Add(QueriesFailed, 1)
+	}
+	if degraded {
+		r.Add(DegradedQueries, 1)
+	}
+	r.Add(QueryNanos, int64(wall))
+	var tuples int64
+	if c != nil {
+		tuples = c.Tuples
+		for i := range stats.Fields {
+			f := &stats.Fields[i]
+			if f.On&stats.Totals == 0 {
+				continue
+			}
+			v, t := *f.Get(c), &r.totals[i]
+			if f.Merge == stats.Sum {
+				t.Add(v)
+				continue
+			}
+			for cur := t.Load(); v > cur && !t.CompareAndSwap(cur, v); cur = t.Load() {
+			}
+		}
+	}
+	r.ObserveQuery(backend, wall, tuples)
+}
+
+// ObserveQuery feeds one finished query's wall-time latency and source-row
+// throughput into the histograms.
 func (r *Registry) ObserveQuery(backend string, wall time.Duration, tuples int64) {
 	r.QueryLatency.With(backend).ObserveDuration(wall)
 	if s := wall.Seconds(); s > 0 && tuples > 0 {
@@ -232,29 +326,63 @@ func (r *Registry) ObserveQuery(backend string, wall time.Duration, tuples int64
 	}
 }
 
-// gauges names the flat counters that are point-in-time values rather than
-// monotonic counters, for exposition typing.
-var gauges = map[string]bool{
-	"inkfuse_mem_peak_bytes": true,
-	"inkfuse_sched_running":  true,
-	"inkfuse_sched_queued":   true,
+// sample is one flat registry value in export form.
+type sample struct {
+	Name  string // exported name without the "inkfuse_" prefix
+	Help  string
+	Gauge bool
+	Value int64
 }
 
-// PrometheusText renders the whole observability surface in Prometheus text
-// exposition format: the flat engine counters of internal/metrics followed by
-// this registry's histograms (cumulative buckets, sum, count).
+// samples lists every flat value — the event counters and the stats
+// schema's process totals — sorted by name. Every flat surface renders it.
+func (r *Registry) samples() []sample {
+	out := make([]sample, 0, len(events)+len(stats.Fields))
+	for e := range events {
+		d := &events[e]
+		out = append(out, sample{d.name, d.help, d.gauge, r.events[e].Load()})
+	}
+	for i := range stats.Fields {
+		if f := &stats.Fields[i]; f.On&stats.Totals != 0 {
+			out = append(out, sample{f.NameOn(stats.Totals), f.Help, f.Merge == stats.Max, r.totals[i].Load()})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
+}
+
+// Snapshot is the expvar view: every flat value by name.
+func (r *Registry) Snapshot() map[string]int64 {
+	out := map[string]int64{}
+	for _, s := range r.samples() {
+		out[s.Name] = s.Value
+	}
+	return out
+}
+
+// Dump renders the flat values as sorted "inkfuse_<name> <value>" lines —
+// the text export for logs and CLIs.
+func (r *Registry) Dump() string {
+	var b strings.Builder
+	for _, s := range r.samples() {
+		fmt.Fprintf(&b, "inkfuse_%s %d\n", s.Name, s.Value)
+	}
+	return b.String()
+}
+
+// PrometheusText renders the registry in Prometheus text exposition format:
+// the flat values followed by the histograms (cumulative buckets, sum,
+// count). Every metric carries HELP and TYPE lines, including a histogram
+// family that has no observations yet.
 func (r *Registry) PrometheusText() string {
 	var b strings.Builder
-	for _, line := range strings.Split(strings.TrimSpace(metrics.Default.Dump()), "\n") {
-		name, _, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
+	for _, s := range r.samples() {
 		kind := "counter"
-		if gauges[name] {
+		if s.Gauge {
 			kind = "gauge"
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s\n", name, kind, line)
+		fmt.Fprintf(&b, "# HELP inkfuse_%s %s\n# TYPE inkfuse_%s %s\ninkfuse_%s %d\n",
+			s.Name, s.Help, s.Name, kind, s.Name, s.Value)
 	}
 	for _, f := range []*Family{r.QueryLatency, r.MorselLatency, r.QueryRows, r.QueueWait} {
 		writeFamily(&b, f)
@@ -263,12 +391,8 @@ func (r *Registry) PrometheusText() string {
 }
 
 func writeFamily(b *strings.Builder, f *Family) {
-	labels := f.labels()
-	if len(labels) == 0 {
-		return
-	}
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", f.Name, f.Help, f.Name)
-	for _, l := range labels {
+	for _, l := range f.labels() {
 		h := f.With(l)
 		var cum int64
 		for i, bound := range h.bounds {
@@ -285,18 +409,4 @@ func writeFamily(b *strings.Builder, f *Family) {
 // formatBound renders a bucket bound without float noise ("0.001", "50000").
 func formatBound(v float64) string {
 	return fmt.Sprintf("%g", v)
-}
-
-// SummaryText renders the families' quantile summaries as human-readable
-// lines — the compact view for logs and CLIs.
-func (r *Registry) SummaryText() string {
-	var b strings.Builder
-	for _, f := range []*Family{r.QueryLatency, r.MorselLatency, r.QueryRows, r.QueueWait} {
-		for _, l := range f.labels() {
-			s := f.With(l).Summarize()
-			fmt.Fprintf(&b, "%s{%s=%q} count=%d p50=%g p90=%g p99=%g\n",
-				f.Name, f.Label, l, s.Count, s.P50, s.P90, s.P99)
-		}
-	}
-	return b.String()
 }

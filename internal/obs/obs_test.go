@@ -51,9 +51,6 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if q := h.Quantile(0.5); q <= 0 || q > 2 {
 		t.Fatalf("p50 = %g, want within (0, 2]", q)
 	}
-	if (Summary{}) == h.Summarize() {
-		t.Fatal("summary empty")
-	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
@@ -114,7 +111,6 @@ func TestFamilyConcurrentMerge(t *testing.T) {
 					t.Error("exposition lost its TYPE header mid-write")
 					return
 				}
-				_ = r.SummaryText()
 			}
 		}()
 	}
@@ -168,9 +164,6 @@ func TestFamilyChildrenAndRegistry(t *testing.T) {
 	r.ObserveQuery("rof", 10*time.Millisecond, 0)
 	if got := r.QueryRows.With("rof").Count(); got != 0 {
 		t.Fatalf("zero-tuple query fed the throughput histogram: %d", got)
-	}
-	if !strings.Contains(r.SummaryText(), `inkfuse_query_seconds{backend="hybrid"} count=2`) {
-		t.Fatalf("summary text:\n%s", r.SummaryText())
 	}
 }
 

@@ -4,8 +4,9 @@
 // query carries the same fields everywhere: identity (engine query id,
 // fingerprint, source), routing (backend, plan-cache outcome, degradations),
 // scheduling (admission queue wait), compilation (compiles run vs artifacts
-// reused, cached bytes), execution counters (rows, tuples, hash-table
-// behaviour), and the duration breakdown.
+// reused, cached bytes), rows and wall time, and the execution counters the
+// stats schema routes to the query log (tuples, compile time and wait,
+// hash-table behaviour, morsel routing).
 //
 // Tail-based sampling: the interesting tail — errors, shed admissions, slow
 // queries, degraded pipelines — is always kept; plain successes are sampled
@@ -18,6 +19,8 @@ import (
 	"context"
 	"log/slog"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // QueryEvent is the canonical wide event of one query completion.
@@ -40,29 +43,21 @@ type QueryEvent struct {
 	Error   string // terminal error message ("" on success)
 	Slow    bool   // wall exceeded the slow-query threshold
 
-	// Volume.
-	Rows   int   // result rows
-	Tuples int64 // source tuples processed
+	// Rows is the number of result rows.
+	Rows int
 
-	// Duration breakdown.
-	Wall        time.Duration // end-to-end, admission included
-	QueueWait   time.Duration // admission-queue wait inside Wall
-	CompileTime time.Duration // total compile time charged to this execution
-	CompileWait time.Duration // dead wait on foreground compilation
+	// Duration breakdown beyond the counters.
+	Wall      time.Duration // end-to-end, admission included
+	QueueWait time.Duration // admission-queue wait inside Wall
 
 	// Compilation amortization (plan/artifact cache).
 	Compiles        int64 // compile jobs this execution ran
 	ArtifactsReused int64 // fused pipelines served from cached artifacts
 	ArtifactBytes   int64 // cached artifact bytes leased with the plan
 
-	// Hash-table counters.
-	HTLocalHits  int64
-	HTSpills     int64
-	HTBloomSkips int64
-
-	// Morsel routing (hybrid: how incremental fusion split the work).
-	MorselsCompiled   int64
-	MorselsVectorized int64
+	// Stats carries the query's merged counters; the schema entries claiming
+	// the QueryLog surface become attributes (stats.Fields).
+	Stats stats.Counters
 }
 
 // Interesting reports whether the event is in the always-keep tail: any
@@ -71,9 +66,10 @@ func (e *QueryEvent) Interesting() bool {
 	return e.Outcome != "ok" || e.Error != "" || e.Degraded || e.Slow
 }
 
-// attrs renders the event as slog attributes. Zero-valued optional fields
-// (fingerprint, trace id, compile times on pure-vectorized runs) are elided
-// so the line stays readable in text handlers.
+// attrs renders the event as slog attributes: the schema's QueryLog
+// counters always (durations as time.Duration), and zero-valued optional
+// fields (fingerprint, trace id, compile jobs, artifacts) elided so the line
+// stays readable in text handlers.
 func (e *QueryEvent) attrs() []slog.Attr {
 	out := make([]slog.Attr, 0, 24)
 	out = append(out,
@@ -85,8 +81,18 @@ func (e *QueryEvent) attrs() []slog.Attr {
 		slog.Duration("wall", e.Wall),
 		slog.Duration("queue_wait", e.QueueWait),
 		slog.Int("rows", e.Rows),
-		slog.Int64("tuples", e.Tuples),
 	)
+	for i := range stats.Fields {
+		f := &stats.Fields[i]
+		if f.On&stats.QueryLog == 0 {
+			continue
+		}
+		if v := *f.Get(&e.Stats); f.Unit == "ns" {
+			out = append(out, slog.Duration(f.Name, time.Duration(v)))
+		} else {
+			out = append(out, slog.Int64(f.Name, v))
+		}
+	}
 	if e.Fingerprint != "" {
 		out = append(out, slog.String("fingerprint", e.Fingerprint))
 	}
@@ -105,30 +111,13 @@ func (e *QueryEvent) attrs() []slog.Attr {
 	if e.Degraded {
 		out = append(out, slog.Bool("degraded", true))
 	}
-	if e.CompileTime > 0 || e.CompileWait > 0 || e.Compiles > 0 {
-		out = append(out,
-			slog.Duration("compile_time", e.CompileTime),
-			slog.Duration("compile_wait", e.CompileWait),
-			slog.Int64("compiles", e.Compiles),
-		)
+	if e.Compiles > 0 {
+		out = append(out, slog.Int64("compiles", e.Compiles))
 	}
 	if e.ArtifactsReused > 0 || e.ArtifactBytes > 0 {
 		out = append(out,
 			slog.Int64("artifacts_reused", e.ArtifactsReused),
 			slog.Int64("artifact_bytes", e.ArtifactBytes),
-		)
-	}
-	if e.HTLocalHits > 0 || e.HTSpills > 0 || e.HTBloomSkips > 0 {
-		out = append(out,
-			slog.Int64("ht_local_hits", e.HTLocalHits),
-			slog.Int64("ht_spills", e.HTSpills),
-			slog.Int64("ht_bloom_skips", e.HTBloomSkips),
-		)
-	}
-	if e.MorselsCompiled > 0 || e.MorselsVectorized > 0 {
-		out = append(out,
-			slog.Int64("morsels_jit", e.MorselsCompiled),
-			slog.Int64("morsels_vec", e.MorselsVectorized),
 		)
 	}
 	return out

@@ -702,28 +702,10 @@ func (s *Server) failRequest(w http.ResponseWriter, id int64, status int, kind s
 // res and prep may be nil (shed queries, canned-plan path).
 func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
 	backend, traceID, outcome string, err error, res *exec.Result, prep *plancache.Prepared) *obs.QueryEvent {
-	e := &obs.QueryEvent{
-		ID: qid, Query: query, Source: source, Fingerprint: fingerprint,
-		TraceID: traceID, Backend: backend, PlanCache: cacheState, Outcome: outcome,
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	if res != nil {
-		e.Rows = res.Rows()
-		e.Tuples = res.Stats.Tuples
-		e.Wall = res.Wall
-		e.QueueWait = res.QueueWait
-		e.CompileTime = res.Stats.CompileTime
-		e.CompileWait = res.Stats.CompileWait
-		e.HTLocalHits = res.Stats.HTLocalHits
-		e.HTSpills = res.Stats.HTSpills
-		e.HTBloomSkips = res.Stats.HTBloomSkips
-		e.MorselsCompiled = res.Stats.MorselsCompiled
-		e.MorselsVectorized = res.Stats.MorselsVectorized
-		e.Degraded = len(res.Warnings) > 0 || res.Stats.CompileErrors > 0
-		e.Slow = s.cfg.SlowQuery > 0 && res.Wall >= s.cfg.SlowQuery
-	}
+	e := exec.NewQueryEvent(res, err)
+	e.ID, e.Query, e.Source, e.Fingerprint = qid, query, source, fingerprint
+	e.TraceID, e.Backend, e.PlanCache, e.Outcome = traceID, backend, cacheState, outcome
+	e.Slow = res != nil && s.cfg.SlowQuery > 0 && res.Wall >= s.cfg.SlowQuery
 	if prep != nil {
 		arts := prep.Artifacts()
 		e.Compiles = arts.Compiles()

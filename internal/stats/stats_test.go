@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestAddMergesAllFields(t *testing.T) {
@@ -34,5 +37,47 @@ func TestPerTuple(t *testing.T) {
 	var zero Counters
 	if zero.PerTuple(1) != "n/a" {
 		t.Fatal("zero tuples should report n/a")
+	}
+}
+
+// TestFieldsCoverCounters: the schema declares every Counters field exactly
+// once, in struct order, with a unique snake-case name and some help text.
+func TestFieldsCoverCounters(t *testing.T) {
+	var c Counters
+	typ := reflect.TypeOf(c)
+	if len(Fields) != typ.NumField() {
+		t.Fatalf("schema has %d entries, Counters has %d fields", len(Fields), typ.NumField())
+	}
+	base := uintptr(unsafe.Pointer(&c))
+	names := map[string]bool{}
+	for i := range Fields {
+		f := &Fields[i]
+		sf := typ.Field(i)
+		if off := uintptr(unsafe.Pointer(f.Get(&c))) - base; off != sf.Offset {
+			t.Errorf("entry %d (%s) points at offset %d, want %s at %d", i, f.Name, off, sf.Name, sf.Offset)
+		}
+		if names[f.Name] || f.Help == "" || f.Unit == "" || strings.ToLower(f.Name) != f.Name {
+			t.Errorf("entry %s: duplicate name, or missing help/unit, or not snake case", f.Name)
+		}
+		names[f.Name] = true
+		if (sf.Type == reflect.TypeOf(time.Duration(0))) != (f.Unit == "ns") {
+			t.Errorf("entry %s: durations and only durations carry unit ns", f.Name)
+		}
+	}
+}
+
+func TestAddSinceAndLine(t *testing.T) {
+	before := Counters{Tuples: 10, HTSpills: 1, MemPeakBytes: 5}
+	now := Counters{Tuples: 25, HTSpills: 1, HTBloomSkips: 3, MemPeakBytes: 7}
+	var d Counters
+	d.AddSince(&now, &before)
+	if d.Tuples != 15 || d.HTSpills != 0 || d.HTBloomSkips != 3 || d.MemPeakBytes != 7 {
+		t.Fatalf("delta wrong: %+v", d)
+	}
+	if got, want := d.Line(Tables), "local_hits=0 spills=0 bloom_skips=3"; got != want {
+		t.Fatalf("tables line = %q, want %q", got, want)
+	}
+	if got := (&Counters{Tuples: 1}).Line(Tables); got != "" {
+		t.Fatalf("all-zero line = %q, want empty", got)
 	}
 }

@@ -168,6 +168,7 @@ func (q *Query) Spans() ([]byte, error) {
 		pID := spanID(q.ID, pPath)
 		pStart := begin.Add(p.Start)
 		pEnd := pStart.Add(p.Wall)
+		pc := p.Counters()
 		ps := otlpSpan{
 			TraceID: traceID, SpanID: pID, ParentSpanID: qsID,
 			Name: "pipeline " + p.Name, Kind: 1,
@@ -177,9 +178,9 @@ func (q *Query) Spans() ([]byte, error) {
 				intAttr("inkfuse.rows", int64(p.Rows)),
 				intAttr("inkfuse.morsels", int64(p.Morsels)),
 				intAttr("inkfuse.morsels_run", int64(p.MorselsRun())),
-				intAttr("inkfuse.tuples", p.Tuples()),
-				intAttr("inkfuse.routed_jit", int64(p.RoutedJIT())),
-				intAttr("inkfuse.routed_vectorized", int64(p.RoutedVectorized())),
+				intAttr("inkfuse.tuples", pc.Tuples),
+				intAttr("inkfuse.routed_jit", pc.MorselsCompiled),
+				intAttr("inkfuse.routed_vectorized", pc.MorselsVectorized),
 				boolAttr("inkfuse.degraded", p.Degraded),
 			},
 		}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // buildTestTrace assembles a two-pipeline hybrid-ish trace with queue wait,
@@ -23,9 +25,7 @@ func buildTestTrace() *Query {
 	p1.CompileTime = 30 * time.Millisecond
 	p1.ArtifactReady = 40 * time.Millisecond
 	p1.Workers[0].Morsels = 4
-	p1.Workers[0].Tuples = 60000
-	p1.Workers[0].JIT = 2
-	p1.Workers[0].Vectorized = 2
+	p1.Workers[0].Counters = stats.Counters{Tuples: 60000, MorselsCompiled: 2, MorselsVectorized: 2}
 
 	p2 := q.StartPipeline("p2", 100, 1)
 	p2.Start = 80 * time.Millisecond

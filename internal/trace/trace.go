@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // MaxEWMASamples caps the per-worker EWMA throughput series so long queries
@@ -111,19 +113,13 @@ type Worker struct {
 	// Busy is the time spent running morsels (excludes scheduling gaps).
 	Busy    time.Duration
 	Morsels int
-	Tuples  int64
-	// JIT / Vectorized split the worker's morsels by serving backend, as
-	// routed by the hybrid policy (for the compiling and ROF backends every
-	// morsel is JIT; the pure vectorized backend reports neither).
-	JIT        int
-	Vectorized int
-	// Hash-table kernel counters: aggregation lookups absorbed by the
-	// worker's thread-local pre-aggregation table, local group rows spilled
-	// into the shard table at morsel boundaries, and join probes answered by
-	// the build-side bloom/tag filter without touching bucket memory.
-	LocalHits  int64
-	Spills     int64
-	BloomSkips int64
+	// Counters sums the worker's per-morsel counter deltas: tuples, the
+	// hybrid routing split (MorselsCompiled / MorselsVectorized; for the
+	// compiling and ROF backends every morsel is compiled, the pure
+	// vectorized backend reports neither), hash-table behaviour, and the
+	// rest of the stats schema. Compile accounting and the memory peak are
+	// per pipeline and per query, not per morsel, and stay zero here.
+	Counters stats.Counters
 	// EWMA is the hybrid routing-decision series (capped at MaxEWMASamples).
 	EWMA        []EWMASample
 	EWMADropped int
@@ -184,70 +180,16 @@ func (p *Pipeline) MorselsRun() int {
 	return n
 }
 
-// Tuples sums source tuples processed by the pipeline.
-func (p *Pipeline) Tuples() int64 {
-	var n int64
+// Counters sums the workers' per-morsel counter deltas.
+func (p *Pipeline) Counters() stats.Counters {
+	var c stats.Counters
 	for i := range p.Workers {
-		n += p.Workers[i].Tuples
+		c.Add(&p.Workers[i].Counters)
 	}
-	return n
-}
-
-// RoutedJIT / RoutedVectorized sum the pipeline's routing decisions.
-func (p *Pipeline) RoutedJIT() int {
-	n := 0
-	for i := range p.Workers {
-		n += p.Workers[i].JIT
-	}
-	return n
-}
-
-// RoutedVectorized sums the morsels served by the vectorized interpreter.
-func (p *Pipeline) RoutedVectorized() int {
-	n := 0
-	for i := range p.Workers {
-		n += p.Workers[i].Vectorized
-	}
-	return n
-}
-
-// LocalHits sums aggregation lookups absorbed by thread-local tables.
-func (p *Pipeline) LocalHits() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].LocalHits
-	}
-	return n
-}
-
-// Spills sums local pre-aggregation rows merged into the shard tables.
-func (p *Pipeline) Spills() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Spills
-	}
-	return n
-}
-
-// BloomSkips sums join probes the build-side bloom filter answered.
-func (p *Pipeline) BloomSkips() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].BloomSkips
-	}
-	return n
+	return c
 }
 
 // Query-level totals (across pipelines).
-
-// Tuples sums source tuples across the query.
-func (q *Query) Tuples() int64 {
-	var n int64
-	for _, p := range q.Pipelines {
-		n += p.Tuples()
-	}
-	return n
-}
 
 // MorselsRun sums executed morsels across the query.
 func (q *Query) MorselsRun() int {
@@ -258,22 +200,14 @@ func (q *Query) MorselsRun() int {
 	return n
 }
 
-// RoutedJIT sums morsels served by compiled code across the query.
-func (q *Query) RoutedJIT() int {
-	n := 0
+// Counters sums the per-morsel counter deltas across the query.
+func (q *Query) Counters() stats.Counters {
+	var c stats.Counters
 	for _, p := range q.Pipelines {
-		n += p.RoutedJIT()
+		pc := p.Counters()
+		c.Add(&pc)
 	}
-	return n
-}
-
-// RoutedVectorized sums morsels served by the interpreter across the query.
-func (q *Query) RoutedVectorized() int {
-	n := 0
-	for _, p := range q.Pipelines {
-		n += p.RoutedVectorized()
-	}
-	return n
+	return c
 }
 
 // Dump renders the full trace, one block per pipeline with per-worker lines
@@ -300,8 +234,9 @@ func (q *Query) Dump() string {
 			}
 			b.WriteByte('\n')
 		}
-		if lh, sp, bs := p.LocalHits(), p.Spills(), p.BloomSkips(); lh+sp+bs > 0 {
-			fmt.Fprintf(&b, "  tables: local_hits=%d spills=%d bloom_skips=%d\n", lh, sp, bs)
+		pc := p.Counters()
+		if line := pc.Line(stats.Tables); line != "" {
+			fmt.Fprintf(&b, "  tables: %s\n", line)
 		}
 		if len(p.SubOps) > 0 {
 			var total int64
@@ -323,9 +258,10 @@ func (q *Query) Dump() string {
 			if ws.Morsels == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  w%d: %d morsels, %d tuples, busy=%v", w, ws.Morsels, ws.Tuples, ws.Busy.Round(time.Microsecond))
-			if ws.JIT+ws.Vectorized > 0 {
-				fmt.Fprintf(&b, ", routed %d jit / %d vectorized", ws.JIT, ws.Vectorized)
+			wc := &ws.Counters
+			fmt.Fprintf(&b, "  w%d: %d morsels, %d tuples, busy=%v", w, ws.Morsels, wc.Tuples, ws.Busy.Round(time.Microsecond))
+			if wc.MorselsCompiled+wc.MorselsVectorized > 0 {
+				fmt.Fprintf(&b, ", routed %d jit / %d vectorized", wc.MorselsCompiled, wc.MorselsVectorized)
 			}
 			b.WriteByte('\n')
 			for _, s := range ws.EWMA {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 func TestTotalsAndQuantiles(t *testing.T) {
@@ -12,21 +14,25 @@ func TestTotalsAndQuantiles(t *testing.T) {
 	if len(p.Workers) != 3 {
 		t.Fatalf("workers: got %d, want 3", len(p.Workers))
 	}
-	p.Workers[0] = Worker{Busy: 2 * time.Millisecond, Morsels: 4, Tuples: 400, JIT: 3, Vectorized: 1}
-	p.Workers[1] = Worker{Busy: 1 * time.Millisecond, Morsels: 3, Tuples: 300, JIT: 1, Vectorized: 2}
-	p.Workers[2] = Worker{Busy: 3 * time.Millisecond, Morsels: 3, Tuples: 300, JIT: 2, Vectorized: 1}
+	p.Workers[0] = Worker{Busy: 2 * time.Millisecond, Morsels: 4,
+		Counters: stats.Counters{Tuples: 400, MorselsCompiled: 3, MorselsVectorized: 1}}
+	p.Workers[1] = Worker{Busy: 1 * time.Millisecond, Morsels: 3,
+		Counters: stats.Counters{Tuples: 300, MorselsCompiled: 1, MorselsVectorized: 2}}
+	p.Workers[2] = Worker{Busy: 3 * time.Millisecond, Morsels: 3,
+		Counters: stats.Counters{Tuples: 300, MorselsCompiled: 2, MorselsVectorized: 1}}
+	pc, qc := p.Counters(), q.Counters()
 
 	if got := p.MorselsRun(); got != 10 {
 		t.Errorf("MorselsRun: got %d, want 10", got)
 	}
-	if got := p.Tuples(); got != 1000 {
+	if got := pc.Tuples; got != 1000 {
 		t.Errorf("Tuples: got %d, want 1000", got)
 	}
-	if p.RoutedJIT() != 6 || p.RoutedVectorized() != 4 {
-		t.Errorf("routing: got %d/%d, want 6/4", p.RoutedJIT(), p.RoutedVectorized())
+	if pc.MorselsCompiled != 6 || pc.MorselsVectorized != 4 {
+		t.Errorf("routing: got %d/%d, want 6/4", pc.MorselsCompiled, pc.MorselsVectorized)
 	}
-	if q.Tuples() != 1000 || q.MorselsRun() != 10 || q.RoutedJIT() != 6 || q.RoutedVectorized() != 4 {
-		t.Errorf("query totals wrong: %d %d %d %d", q.Tuples(), q.MorselsRun(), q.RoutedJIT(), q.RoutedVectorized())
+	if qc.Tuples != 1000 || q.MorselsRun() != 10 || qc.MorselsCompiled != 6 || qc.MorselsVectorized != 4 {
+		t.Errorf("query totals wrong: %d %d %d %d", qc.Tuples, q.MorselsRun(), qc.MorselsCompiled, qc.MorselsVectorized)
 	}
 	lo, med, hi, ok := p.BusyQuantiles()
 	if !ok || lo != time.Millisecond || med != 2*time.Millisecond || hi != 3*time.Millisecond {
@@ -56,7 +62,7 @@ func TestEWMACapAndFinal(t *testing.T) {
 func TestDumpPartialTrace(t *testing.T) {
 	q := NewQuery("canceled", "vectorized", 2, time.Now())
 	p := q.StartPipeline("p0", 500, 8)
-	p.Workers[0] = Worker{Busy: time.Millisecond, Morsels: 2, Tuples: 128}
+	p.Workers[0] = Worker{Busy: time.Millisecond, Morsels: 2, Counters: stats.Counters{Tuples: 128}}
 	q.Err = "canceled"
 	q.Wall = 5 * time.Millisecond
 	out := q.Dump()

@@ -8,7 +8,6 @@ import (
 	"inkfuse/internal/exec"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/ir"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/plancache"
 	"inkfuse/internal/sql"
@@ -160,7 +159,7 @@ type (
 )
 
 // Observability: per-query execution traces (Options.Trace → Result.Trace)
-// and the engine-wide metrics registry (see MetricsText / MetricsSnapshot;
+// and the engine-wide metrics registry (see MetricsText / PrometheusText;
 // also exported via expvar as "inkfuse").
 type (
 	// QueryTrace is one query's execution trace.
@@ -176,8 +175,6 @@ type (
 	// trace (Options.Profile → PipelineTrace.SubOps): calls, tuples and
 	// nanoseconds attributed over the sampled chunks.
 	SubOpProf = trace.SubOpProf
-	// MetricsValues is a snapshot of the engine-wide metrics registry.
-	MetricsValues = metrics.Snapshot
 )
 
 // Typed query-failure causes (match with errors.Is). A failing query returns
