@@ -1,3 +1,46 @@
+/* Runtime interface of the inkfuse generated code. */
+#include <stdbool.h>
+#include <stdint.h>
+
+typedef struct { const char* ptr; int64_t len; } ink_str_t;
+typedef struct { void* data; } ink_vec_t;
+typedef struct { ink_vec_t** cols; int64_t rows; } ink_chunk_t;
+typedef struct { bool b; int32_t i32; int64_t i64; double f64; ink_str_t str; } ink_const_t;
+typedef struct { int64_t off; } ink_offset_t;
+typedef struct { void* table; } ink_agg_state_t;
+typedef struct { void* table; } ink_join_state_t;
+typedef struct { void* m; } ink_like_state_t;
+typedef struct { void* set; } ink_inlist_state_t;
+typedef struct { void* bucket; int64_t pos; } ink_match_iter_t;
+
+uint64_t ink_hash(const char* key);
+const char* ink_row_key(const char* row);
+int64_t ink_row_key_len(const char* row);
+int64_t ink_payload_off(const char* row);
+char* ink_make_row(void* state, int64_t i);
+char* ink_append_str(char* row, void* state, ink_str_t s);
+char* ink_seal_key(void* state, char* row);
+char* ink_agg_find_or_create(void* table, const char* key, uint64_t hash);
+char* ink_agg_find_or_create_direct(void* table, const void* key);
+char** ink_agg_find_or_create_batch(void* table, char** rows, int64_t n);
+char** ink_agg_find_or_create_direct_batch(void* table, const void* keys, int64_t n);
+void ink_join_insert(void* table, char* row, uint64_t hash);
+void ink_join_insert_batch(void* table, char** rows, int64_t n);
+void ink_join_prefetch_batch(void* table, char** rows, int64_t n);
+bool ink_join_exists(void* table, const char* key);
+ink_match_iter_t ink_join_lookup(void* table, const char* key);
+char* ink_match_next(ink_match_iter_t* it);
+int ink_strcmp(ink_str_t a, ink_str_t b);
+bool ink_like(void* m, ink_str_t s);
+bool ink_in_list(void* set, ink_str_t s);
+ink_str_t ink_str_lower(ink_str_t s);
+ink_str_t ink_unpack_str_key(const char* row, void* state);
+ink_str_t ink_unpack_str_payload(const char* row, void* state);
+double ink_min_f64(double a, double b);
+double ink_max_f64(double a, double b);
+int32_t ink_min_i32(int32_t a, int32_t b);
+int32_t ink_max_i32(int32_t a, int32_t b);
+
 /* The complete generated vectorized interpreter.
    Every function below was produced by wrapping one enumerated
    suboperator between a tuple-buffer source and sink and running

@@ -7,8 +7,8 @@
 // implementation's numbers).
 //
 //	primgen -stats          # counts only
-//	primgen > interp.c      # the full generated interpreter
-//	primgen -id cmp_lt_f64_ck   # one primitive
+//	primgen > interp.c      # the full generated interpreter, prelude first
+//	primgen -id cmp_lt_f64_ck   # one primitive (no prelude)
 package main
 
 import (
@@ -26,13 +26,7 @@ import (
 func main() {
 	statsOnly := flag.Bool("stats", false, "print enumeration statistics only")
 	one := flag.String("id", "", "emit a single primitive by ID")
-	lang := flag.String("lang", "c", "emit language: c | go")
 	flag.Parse()
-
-	render := ir.EmitC
-	if *lang == "go" {
-		render = ir.EmitGo
-	}
 
 	reg, err := interp.NewRegistry()
 	if err != nil {
@@ -48,7 +42,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "primgen: no primitive %q\n", *one)
 			os.Exit(1)
 		}
-		fmt.Print(render(f))
+		fmt.Print(ir.EmitC(f))
 		return
 	}
 
@@ -79,10 +73,5 @@ func main() {
 		return
 	}
 
-	src, err := reg.GenerateSource(*lang)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "primgen:", err)
-		os.Exit(1)
-	}
-	fmt.Print(src)
+	fmt.Print(reg.GenerateC())
 }

@@ -147,13 +147,14 @@ func RunSQL(cat *Catalog, text string, params []any, opts Options) (*Result, err
 
 // GeneratedC renders the C source the engine's compilation stack generates
 // for every pipeline of the plan — the code an InkFuse-style engine hands to
-// clang (paper Figs 3, 5, 6).
+// clang (paper Figs 3, 5, 6). The source begins with the runtime prelude, so
+// it compiles as one translation unit.
 func GeneratedC(node Node, name string) (string, error) {
 	plan, err := algebra.Lower(node, name)
 	if err != nil {
 		return "", err
 	}
-	out := ""
+	out := ir.EmitCPrelude() + "\n"
 	for _, pipe := range plan.Pipelines {
 		fn, _, err := pipe.GenFused()
 		if err != nil {

@@ -272,7 +272,7 @@ func TestHybridCompilesAllPipelinesUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	lat := LatencyNone
-	bgs := startHybridCompiles(context.Background(), 0, plan.Pipelines, lat, 0, nil)
+	bgs := startHybridCompiles(context.Background(), 0, plan.Pipelines, lat, nil)
 	defer func() {
 		for _, h := range bgs {
 			h.abandon()
@@ -286,19 +286,6 @@ func TestHybridCompilesAllPipelinesUpFront(t *testing.T) {
 		if h.art.Load() == nil {
 			t.Fatalf("pipeline %d code never became ready", i)
 		}
-	}
-
-	// And the job cap serializes without deadlocking or losing jobs.
-	plan2, _ := algebra.Lower(node, "upfront2")
-	bgs2 := startHybridCompiles(context.Background(), 0, plan2.Pipelines, lat, 1, nil)
-	for i, h := range bgs2 {
-		<-h.done
-		if h.art.Load() == nil {
-			t.Fatalf("capped pipeline %d code never became ready", i)
-		}
-	}
-	for _, h := range bgs2 {
-		h.abandon()
 	}
 }
 

@@ -31,11 +31,6 @@ type Options struct {
 	ChunkSize  int           // tuple-buffer rows, default 1024
 	MorselSize int           // morsel rows, default 16384
 	Latency    *LatencyModel // compile latency model; default LatencyC (nil) — ignored by the vectorized backend
-	// CompileJobs bounds the hybrid backend's concurrent background
-	// compilations ("compilation overhead can be bounded by limiting the
-	// number of concurrent compilation jobs", paper §V-B). 0 = one job per
-	// pipeline, the paper's default.
-	CompileJobs int
 	// MemoryBudget caps the bytes of query-owned runtime state (hash-table
 	// arenas and bookkeeping). A query that crosses the cap fails with
 	// ErrMemoryBudget instead of pressuring the process. 0 = unlimited.
@@ -389,7 +384,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	// pipeline runs, its fused code is usually already waiting.
 	var bgs []*hybridCompile
 	if opts.Backend == BackendHybrid {
-		bgs = startHybridCompiles(ctx, qid, plan.Pipelines, *opts.Latency, opts.CompileJobs, opts.Artifacts)
+		bgs = startHybridCompiles(ctx, qid, plan.Pipelines, *opts.Latency, opts.Artifacts)
 		defer func() {
 			for _, h := range bgs {
 				h.abandon()

@@ -262,7 +262,7 @@ func iuKinds(ius []*core.IU) []types.Kind {
 
 // hybridCompile is one pipeline's background compilation job. All jobs of a
 // query start when the query starts (paper §V-B: "InkFuse uses one thread
-// per pipeline for background compilation"), bounded by Options.CompileJobs.
+// per pipeline for background compilation").
 type hybridCompile struct {
 	art atomic.Pointer[fusedStep]
 	// failed marks the job permanently dead; err (written before the store,
@@ -280,20 +280,17 @@ type hybridCompile struct {
 }
 
 // fail records a permanent compile failure on the job.
-func (h *hybridCompile) fail(err error) {
+func (h *hybridCompile) fail(qid uint64, pipe string, err error) {
 	h.err = err
 	h.failed.Store(true)
+	flight.Default.RecordStr(flight.KindCompileFail, qid, pipe, 0, 0)
 }
 
 // startHybridCompiles launches the background compilation jobs for every
 // pipeline of the plan. The returned handles are wired into the hybrid
 // runners pipeline by pipeline; abandon cancels whatever has not finished
 // when the query completes, as does cancellation of the query context.
-func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline, lat LatencyModel, jobs int, arts *ArtifactSet) []*hybridCompile {
-	if jobs <= 0 {
-		jobs = len(pipes) // paper default: one compilation thread per pipeline
-	}
-	sem := make(chan struct{}, jobs)
+func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline, lat LatencyModel, arts *ArtifactSet) []*hybridCompile {
 	out := make([]*hybridCompile, len(pipes))
 	for i, pipe := range pipes {
 		h := &hybridCompile{cancel: make(chan struct{}), done: make(chan struct{})}
@@ -307,33 +304,35 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 			close(h.done)
 			continue
 		}
+		// An injected compile failure is published before the query runs
+		// its first morsel, so the degradation it forces is the same on
+		// every run.
+		if err := faultinject.Inject(faultinject.ExecHybridCompile); err != nil {
+			h.fail(qid, pipe.Name, err)
+			close(h.done)
+			continue
+		}
 		go func(pipe *core.Pipeline) {
 			defer close(h.done)
+			// A query that finished or died before the job was scheduled
+			// compiles nothing.
 			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
 			case <-h.cancel:
 				return
 			case <-ctx.Done():
 				return
+			default:
 			}
 			flight.Default.RecordStr(flight.KindCompileStart, qid, pipe.Name, 0, 0)
 			start := time.Now()
-			if err := faultinject.Inject(faultinject.ExecHybridCompile); err != nil {
-				h.fail(err)
-				flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
-				return
-			}
 			fn, states, err := core.GenStep("pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result)
 			if err != nil {
-				h.fail(err)
-				flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
+				h.fail(qid, pipe.Name, err)
 				return
 			}
 			prog, err := vm.Compile(fn)
 			if err != nil {
-				h.fail(err)
-				flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
+				h.fail(qid, pipe.Name, err)
 				return
 			}
 			// Interruptible machine-code latency: one timer wake-up (repeated

@@ -35,8 +35,9 @@ const (
 	// ExecCompileDelay adds latency to the foreground compile step,
 	// on top of the configured LatencyModel (delay point).
 	ExecCompileDelay = "exec/compile-delay"
-	// ExecHybridCompile fires in the hybrid backend's background compilation
-	// job (error point: a fired fault fails the job permanently).
+	// ExecHybridCompile fires as the hybrid backend launches a pipeline's
+	// background compilation job (error point: a fired fault fails the job
+	// permanently, published before the query runs its first morsel).
 	ExecHybridCompile = "exec/hybrid-compile"
 	// ExecHybridCompileDelay adds latency to the background compile job's
 	// interruptible latency wait (delay point).

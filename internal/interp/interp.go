@@ -11,7 +11,6 @@ package interp
 
 import (
 	"fmt"
-	"go/format"
 	"sort"
 	"strings"
 	"sync"
@@ -99,38 +98,23 @@ func (r *Registry) IDs() []string {
 	return out
 }
 
-// GenerateSource renders the complete generated interpreter as source code
-// ("c" or "go"); cmd/primgen prints it and the artifact drift tests compare
-// it against the checked-in copies. Go output is gofmt-formatted.
-func (r *Registry) GenerateSource(lang string) (string, error) {
+// GenerateC renders the complete generated interpreter as one C source file
+// that begins with the runtime prelude; cmd/primgen prints it and the
+// artifact drift test compares it against artifacts/interpreter.c.
+func (r *Registry) GenerateC() string {
 	ids := r.IDs()
 	sort.Strings(ids)
 	var b strings.Builder
-	if lang == "go" {
-		b.WriteString(ir.EmitGoPrelude())
-	} else {
-		b.WriteString("/* The complete generated vectorized interpreter.\n")
-		b.WriteString("   Every function below was produced by wrapping one enumerated\n")
-		b.WriteString("   suboperator between a tuple-buffer source and sink and running\n")
-		b.WriteString("   the engine's single compilation stack (paper §V-A). */\n")
-	}
+	b.WriteString(ir.EmitCPrelude())
+	b.WriteString("\n/* The complete generated vectorized interpreter.\n")
+	b.WriteString("   Every function below was produced by wrapping one enumerated\n")
+	b.WriteString("   suboperator between a tuple-buffer source and sink and running\n")
+	b.WriteString("   the engine's single compilation stack (paper §V-A). */\n")
 	for _, id := range ids {
-		f := r.funcs[id]
 		b.WriteString("\n")
-		if lang == "go" {
-			b.WriteString(ir.EmitGo(f))
-		} else {
-			b.WriteString(ir.EmitC(f))
-		}
+		b.WriteString(ir.EmitC(r.funcs[id]))
 	}
-	if lang == "go" {
-		src, err := format.Source([]byte(b.String()))
-		if err != nil {
-			return "", fmt.Errorf("interp: generated Go does not format: %w", err)
-		}
-		return string(src), nil
-	}
-	return b.String(), nil
+	return b.String()
 }
 
 // compiledOp is one suboperator resolved to its primitive.

@@ -11,7 +11,8 @@ import (
 // compile with clang. The Go engine executes the closure-compiled form of the
 // same IR (internal/vm); this emitter exists to expose the generated-code
 // artifact the paper shows in Figs 3, 5 and 6, and it is what cmd/primgen
-// prints for the full vectorized interpreter.
+// prints for the full vectorized interpreter. The output compiles against
+// EmitCPrelude.
 func EmitC(f *Func) string {
 	var b strings.Builder
 	e := &cemitter{w: &b}
@@ -35,9 +36,97 @@ func EmitC(f *Func) string {
 	return b.String()
 }
 
-// cBatched renders the chunk-batched form of a batchablePrim body (see
-// goemit.go): the runtime kernel hashes the whole vector and takes each shard
-// lock once per (chunk, shard).
+// EmitCPrelude returns the runtime interface every function EmitC renders
+// compiles against: the vector, chunk and state layouts and the runtime
+// hooks, declared for a C11 compiler. A source file holds it once, ahead of
+// the generated functions.
+func EmitCPrelude() string {
+	return `/* Runtime interface of the inkfuse generated code. */
+#include <stdbool.h>
+#include <stdint.h>
+
+typedef struct { const char* ptr; int64_t len; } ink_str_t;
+typedef struct { void* data; } ink_vec_t;
+typedef struct { ink_vec_t** cols; int64_t rows; } ink_chunk_t;
+typedef struct { bool b; int32_t i32; int64_t i64; double f64; ink_str_t str; } ink_const_t;
+typedef struct { int64_t off; } ink_offset_t;
+typedef struct { void* table; } ink_agg_state_t;
+typedef struct { void* table; } ink_join_state_t;
+typedef struct { void* m; } ink_like_state_t;
+typedef struct { void* set; } ink_inlist_state_t;
+typedef struct { void* bucket; int64_t pos; } ink_match_iter_t;
+
+uint64_t ink_hash(const char* key);
+const char* ink_row_key(const char* row);
+int64_t ink_row_key_len(const char* row);
+int64_t ink_payload_off(const char* row);
+char* ink_make_row(void* state, int64_t i);
+char* ink_append_str(char* row, void* state, ink_str_t s);
+char* ink_seal_key(void* state, char* row);
+char* ink_agg_find_or_create(void* table, const char* key, uint64_t hash);
+char* ink_agg_find_or_create_direct(void* table, const void* key);
+char** ink_agg_find_or_create_batch(void* table, char** rows, int64_t n);
+char** ink_agg_find_or_create_direct_batch(void* table, const void* keys, int64_t n);
+void ink_join_insert(void* table, char* row, uint64_t hash);
+void ink_join_insert_batch(void* table, char** rows, int64_t n);
+void ink_join_prefetch_batch(void* table, char** rows, int64_t n);
+bool ink_join_exists(void* table, const char* key);
+ink_match_iter_t ink_join_lookup(void* table, const char* key);
+char* ink_match_next(ink_match_iter_t* it);
+int ink_strcmp(ink_str_t a, ink_str_t b);
+bool ink_like(void* m, ink_str_t s);
+bool ink_in_list(void* set, ink_str_t s);
+ink_str_t ink_str_lower(ink_str_t s);
+ink_str_t ink_unpack_str_key(const char* row, void* state);
+ink_str_t ink_unpack_str_payload(const char* row, void* state);
+double ink_min_f64(double a, double b);
+double ink_max_f64(double a, double b);
+int32_t ink_min_i32(int32_t a, int32_t b);
+int32_t ink_max_i32(int32_t a, int32_t b);
+`
+}
+
+// batchablePrim reports whether f is one of the single-suboperator table
+// primitives whose entire body is a table access over the input vector
+// (optionally emitting the resolved group row). EmitC renders those as one
+// chunk-batched kernel call — one hash pass and one shard-lock acquire per
+// (chunk, shard) inside the runtime — instead of a per-row loop around a
+// scalar hook. Fused multi-suboperator functions never match: their per-row
+// data-centric loop is the point of fusion, and they reach the same batched
+// runtime entry points through the closure backend regardless. Since only the
+// rendering changes (same suboperator, same PrimitiveID, same state), the
+// enumeration invariant is untouched.
+func batchablePrim(f *Func) bool {
+	if len(f.Ins) != 1 {
+		return false
+	}
+	in := f.Ins[0]
+	switch len(f.Body) {
+	case 1:
+		switch s := f.Body[0].(type) {
+		case JoinInsert:
+			return s.Row.ID == in.ID
+		case Prefetch:
+			return s.Row.ID == in.ID
+		}
+	case 2:
+		em, ok := f.Body[1].(EmitStmt)
+		if !ok || len(em.Cols) != 1 {
+			return false
+		}
+		switch s := f.Body[0].(type) {
+		case AggLookup:
+			return s.Row.ID == in.ID && em.Cols[0].ID == s.Dst.ID
+		case AggLookupFixed:
+			return s.Key.ID == in.ID && em.Cols[0].ID == s.Dst.ID
+		}
+	}
+	return false
+}
+
+// cBatched renders the chunk-batched form of a batchablePrim body: the
+// runtime kernel hashes the whole vector and takes each shard lock once per
+// (chunk, shard).
 func (e *cemitter) cBatched(f *Func) {
 	switch s := f.Body[0].(type) {
 	case AggLookup:
@@ -117,7 +206,7 @@ func (e *cemitter) stmt(s Stmt) {
 		e.line("char* %s = ink_agg_find_or_create(((ink_agg_state_t*)state[%d])->table, ink_row_key(%s), ink_hash(ink_row_key(%s)));",
 			s.Dst, s.StateID, s.Row, s.Row)
 	case AggLookupFixed:
-		e.line("char* %s = ink_agg_find_or_create_direct(((ink_agg_state_t*)state[%d])->table, %s); // single-column key fast path",
+		e.line("char* %s = ink_agg_find_or_create_direct(((ink_agg_state_t*)state[%d])->table, &%s); // single-column key fast path",
 			s.Dst, s.StateID, s.Key)
 	case AggUpdate:
 		off := fmt.Sprintf("%s + ink_payload_off(%s) + ((ink_offset_t*)state[%d])->off", s.Group, s.Group, s.StateID)

@@ -3,11 +3,12 @@
 // compilation stack of an Incremental Fusion engine turns a DAG of
 // suboperators into executable code").
 //
-// One IR, several consumers:
+// One IR, two consumers:
 //   - internal/vm compiles it into an executable closure program (the
 //     stand-in for InkFuse's clang-compiled C, see DESIGN.md §2);
-//   - EmitC renders it as the C source InkFuse would generate (Figs 3/5/6);
-//   - EmitGo renders it as Go source (used by cmd/primgen).
+//   - EmitC renders it as the C source InkFuse would generate (Figs 3/5/6;
+//     cmd/primgen prints the whole interpreter), compiling against the
+//     runtime interface EmitCPrelude declares.
 //
 // A Func is the code for one *step*: a loop over source rows whose body is a
 // statement list. Nested scopes (filter, join probe) model cardinality

@@ -91,28 +91,6 @@ func (k Kind) CName() string {
 	}
 }
 
-// GoName returns the Go type name used by the Go source emitter.
-func (k Kind) GoName() string {
-	switch k {
-	case Bool:
-		return "bool"
-	case Int32:
-		return "int32"
-	case Int64:
-		return "int64"
-	case Float64:
-		return "float64"
-	case Date:
-		return "int32"
-	case String:
-		return "string"
-	case Ptr:
-		return "[]byte"
-	default:
-		return "void"
-	}
-}
-
 // Width returns the byte width of the kind inside a packed row layout.
 // Strings are variable-size and report -1; the row layout gives them
 // length-prefixed slots (see rt.RowLayout).

@@ -23,6 +23,16 @@ echo "inklint OK"
 
 go test -race ./...
 
+# Emitted C must compile. On a host with a C compiler the compile test has to
+# run and pass: a skip there would hide a broken emitter or prelude.
+if command -v cc >/dev/null 2>&1; then
+    echo "emitted C compile..."
+    ccout=$(go test -count=1 -v -run '^TestEmittedCCompiles$' . 2>&1) || true
+    echo "$ccout" | grep -q '^--- PASS: TestEmittedCCompiles' \
+        || { echo "emitted C compile test did not pass:" >&2; echo "$ccout" >&2; exit 1; }
+    echo "emitted C compile OK"
+fi
+
 # Tied-key ordering depends on parallel scheduling; hammer the determinism
 # tests a few extra times so a flaky tie-break cannot slip through one run.
 for _ in 1 2 3; do
