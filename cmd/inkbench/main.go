@@ -13,9 +13,6 @@
 //	    measured morsel counts, busy time, compile timing and hybrid routing
 //	inkbench -explain -trace          — additionally dump the full per-worker
 //	    execution trace (morsel-level EWMA series of the hybrid router)
-//	inkbench -sql [-backend hybrid] [-queries q1,q6] — run each query from
-//	    its SQL text through the text frontend (parse → bind → lower) and
-//	    print the plan-cache fingerprint alongside the result
 //	inkbench -metrics                 — print the engine metrics registry
 //	    after whatever else ran
 //	inkbench -json [-sf 0.1]          — machine-readable benchmark: every
@@ -54,11 +51,10 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query deadline (e.g. 30s); expired queries fail with a typed error (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "per-query runtime-state budget in bytes; exceeding it fails the query instead of OOM-ing (0 = unlimited)")
 	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE mode: run each -queries query once on -backend and print the annotated plan, then exit")
-	sqlFlag := flag.Bool("sql", false, "SQL mode: run each -queries query from its SQL text through the text frontend on -backend, then exit")
 	traceFlag := flag.Bool("trace", false, "with -explain: also dump the full per-worker execution trace")
 	backend := flag.String("backend", "hybrid", "backend for -explain: vectorized | compiling | rof | hybrid")
 	metricsFlag := flag.Bool("metrics", false, "print the engine metrics registry before exiting")
-	querylogFlag := flag.Bool("querylog", false, "with -sql or -explain: emit the canonical query-log event (JSON, stderr) for each query run")
+	querylogFlag := flag.Bool("querylog", false, "with -explain: emit the canonical query-log event (JSON, stderr) for each query run")
 	jsonFlag := flag.Bool("json", false, "JSON mode: measure every -queries query on all four backends and write the report to stdout, then exit")
 	concurrency := flag.Int("concurrency", 0, "concurrency mode: measure throughput/p99 at doubling client counts up to N through the admission-controlled scheduler (0 = off); standalone or added to -json")
 	concRequests := flag.Int("conc-requests", 0, "requests per concurrency level (0 = 4 per client, min 16)")
@@ -118,17 +114,6 @@ func main() {
 	if *explain {
 		if err := explainQueries(cfg, *backend, *traceFlag, qlog); err != nil {
 			fmt.Fprintf(os.Stderr, "inkbench: explain: %v\n", err)
-			os.Exit(1)
-		}
-		if *metricsFlag {
-			fmt.Print(inkfuse.MetricsText())
-		}
-		return
-	}
-
-	if *sqlFlag {
-		if err := sqlQueries(cfg, *backend, qlog); err != nil {
-			fmt.Fprintf(os.Stderr, "inkbench: sql: %v\n", err)
 			os.Exit(1)
 		}
 		if *metricsFlag {
@@ -229,9 +214,6 @@ func main() {
 	}
 }
 
-// sqlQueries runs each configured query from its SQL text through the text
-// frontend — the same execution path inkserve's {"sql": ...} requests take —
-// and prints one line per query with the plan-cache fingerprint.
 // emitQueryEvent writes the canonical wide event for one completed query —
 // the same shape inkserve logs — so bench runs and servers share log tooling.
 func emitQueryEvent(logger *slog.Logger, query, source, backend, fingerprint string, res *inkfuse.Result, err error) {
@@ -241,38 +223,6 @@ func emitQueryEvent(logger *slog.Logger, query, source, backend, fingerprint str
 	e := exec.NewQueryEvent(res, err)
 	e.Query, e.Source, e.Backend, e.Fingerprint = query, source, backend, fingerprint
 	e.Emit(logger)
-}
-
-func sqlQueries(cfg benchkit.Config, backendName string, qlog *slog.Logger) error {
-	be, err := inkfuse.ParseBackend(backendName)
-	if err != nil {
-		return err
-	}
-	cat := inkfuse.GenerateTPCH(cfg.SF, 42)
-	fmt.Printf("# SQL frontend — %s backend, SF %g\n", backendName, cfg.SF)
-	for _, q := range cfg.Queries {
-		text, ok := inkfuse.TPCHSQL(q)
-		if !ok {
-			return fmt.Errorf("no SQL text for %q", q)
-		}
-		stmt, err := inkfuse.CompileSQL(cat, text)
-		if err != nil {
-			return fmt.Errorf("%s: %w", q, err)
-		}
-		res, err := inkfuse.RunSQL(cat, text, nil, inkfuse.Options{
-			Backend:      be,
-			Workers:      cfg.Workers,
-			MemoryBudget: cfg.MemBudget,
-		})
-		emitQueryEvent(qlog, q, "sql", backendName, stmt.Fingerprint.Hex(), res, err)
-		if err != nil {
-			return fmt.Errorf("%s: %w", q, err)
-		}
-		fmt.Printf("%-4s  fp=%s  rows=%-6d  wall=%.2fms\n",
-			q, stmt.Fingerprint.Hex()[:12], res.Rows(),
-			float64(res.Wall.Microseconds())/1000)
-	}
-	return nil
 }
 
 // explainQueries runs each configured query once with tracing enabled and

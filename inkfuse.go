@@ -91,9 +91,10 @@ func GenerateTPCH(sf float64, seed uint64) *Catalog {
 	return tpch.Generate(sf, seed)
 }
 
-// TPCHQuery returns the hand-built physical plan for one of the eight
-// supported TPC-H queries ("q1", "q3", "q4", "q5", "q6", "q13", "q14",
-// "q19").
+// TPCHQuery returns the plan for one of the supported TPC-H queries (the
+// paper's eight — "q1", "q3", "q4", "q5", "q6", "q13", "q14", "q19" — plus
+// the extended "q10" and "q12"): its SQL text (TPCHSQL) compiled through the
+// text frontend.
 func TPCHQuery(cat *Catalog, name string) (Node, error) {
 	return tpch.Build(cat, name)
 }
@@ -103,8 +104,8 @@ func TPCHQueries() []string {
 	return append([]string{}, tpch.Queries...)
 }
 
-// TPCHSQL returns the SQL text of one of the supported TPC-H queries —
-// the same plans TPCHQuery hand-builds, expressed for the text frontend.
+// TPCHSQL returns the SQL text of one of the supported TPC-H queries — the
+// single definition TPCHQuery compiles.
 func TPCHSQL(name string) (string, bool) {
 	text, ok := tpch.SQL[name]
 	return text, ok

@@ -12,8 +12,8 @@ import (
 // edge kinds are consistent, packed-row IUs are Ptr-typed, and the
 // pipeline-breaker placement is sound (a join table is probed only after the
 // pipeline that seals it; an aggregate is read only after the pipeline that
-// merges it). Plan-construction tests call it directly, and
-// exec.Options.VerifyIR runs it before every query.
+// merges it). Plan-construction tests call it directly, and the serving
+// layer runs it on every plan it lowers from SQL.
 //
 // The per-backend IR (ir.Func) has its own verifier, ir.Verify; VerifyPlan
 // checks the layer above — the suboperator graph all four backends consume.

@@ -92,6 +92,12 @@ func TestVerifyPlanRejects(t *testing.T) {
 			ops[len(ops)-1].(*AggUpdate).Val = stray
 		})
 	})
+	t.Run("undefined filter copy source", func(t *testing.T) {
+		mutate(t, "used before any producer", func(p *Plan) {
+			fc := p.Pipelines[0].Ops[2].(*FilterCopy)
+			fc.Src = NewIU(fc.Src.K, "ghost")
+		})
+	})
 	t.Run("multiple producers", func(t *testing.T) {
 		mutate(t, "multiple producers", func(p *Plan) {
 			build := p.Pipelines[0]

@@ -32,8 +32,8 @@ var (
 	// execution backends. The serving layer classifies it as a client error.
 	ErrUnknownBackend = errors.New("inkfuse: unknown backend")
 	// ErrInvalidPlan reports a structurally broken plan: an unknown source
-	// type, a read of an unbuilt aggregate, or (with Options.VerifyIR) a
-	// core.VerifyPlan failure.
+	// type or a read of an unbuilt aggregate. Callers that lower untrusted
+	// input run core.VerifyPlan before executing (inkserve does for SQL).
 	ErrInvalidPlan = errors.New("inkfuse: invalid plan")
 )
 

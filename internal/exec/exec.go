@@ -57,12 +57,6 @@ type Options struct {
 	// Workers stays the query's parallelism: it is the in-flight morsel cap
 	// and per-query state fan-out (slot count), independent of the pool size.
 	Pool *sched.Pool
-	// VerifyIR runs core.VerifyPlan on the plan before execution: IU
-	// def-use/single-producer checks, edge kind consistency, and pipeline
-	// breaker placement. A rejected plan fails with ErrInvalidPlan before any
-	// worker state is built. Off by default (lowering is trusted in
-	// production); tests and the serving layer's strict mode turn it on.
-	VerifyIR bool
 	// Artifacts, when non-nil, caches compiled pipeline artifacts across
 	// executions of the same plan instance: the compiling/ROF/hybrid backends
 	// consult it before compiling and deposit what they compile. Artifacts
@@ -253,11 +247,6 @@ func Execute(plan *core.Plan, opts Options) (*Result, error) {
 // *Result is non-nil with Stats (no Chunk) for diagnostics.
 func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	if opts.VerifyIR {
-		if err := core.VerifyPlan(plan); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
-		}
-	}
 	start := time.Now()
 	qs := &queryState{ctx: ctx}
 	obs.Default.Add(obs.QueriesStarted, 1)

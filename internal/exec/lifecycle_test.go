@@ -16,6 +16,7 @@ import (
 	"inkfuse/internal/algebra"
 	"inkfuse/internal/core"
 	"inkfuse/internal/faultinject"
+	"inkfuse/internal/flight"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/tpch"
 	"inkfuse/internal/types"
@@ -292,6 +293,69 @@ func TestHybridDegradesOnBackgroundCompileFailure(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: got %s want %s", i, got[i], want[i])
 		}
+	}
+}
+
+func TestHybridCompileDelayIsAbandoned(t *testing.T) {
+	// The hybrid background job runs the foreground compile step, so the
+	// compile-delay point slows it too: the query must finish on the
+	// interpreter, cancel the wait, and deposit no artifact.
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.ExecCompileDelay, faultinject.Fault{Delay: time.Second})
+	tbl := makeTable()
+	lat := LatencyNone
+	arts := NewArtifactSet()
+	plan := lowerOrDie(t, groupByNode(tbl), "delayed")
+	start := time.Now()
+	res, err := Execute(plan, Options{Backend: BackendHybrid, Workers: 2, Latency: &lat, Artifacts: arts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("hybrid waited for the delayed compile: took %v", el)
+	}
+	if faultinject.Calls(faultinject.ExecCompileDelay) == 0 {
+		t.Fatal("background compile never reached the compile-delay point")
+	}
+	if n := arts.FusedPipelines(); n != 0 || arts.Compiles() != 0 {
+		t.Fatalf("abandoned compile stored artifacts: %d pipelines, %d compiles", n, arts.Compiles())
+	}
+	if res.Stats.MorselsCompiled != 0 || res.Stats.CompileErrors != 0 || len(res.Warnings) != 0 {
+		t.Fatalf("abandoned compile is not a failure: %+v, warnings %v", res.Stats, res.Warnings)
+	}
+	for _, ev := range flight.Default.Recent(0, res.QueryID) {
+		if ev.Query == res.QueryID && ev.Kind == flight.KindCompileFail {
+			t.Fatalf("abandoned compile recorded as a failure: %v", ev)
+		}
+	}
+}
+
+func TestHybridDegradesOnCompileFault(t *testing.T) {
+	// An ExecCompile fault fails the hybrid background job, not the query:
+	// the pipeline degrades to the interpreter with a warning. The first
+	// morsel sleeps so the job reaches the fault before the pipeline ends.
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.ExecCompile, faultinject.Fault{})
+	faultinject.Arm(faultinject.ExecMorsel, faultinject.Fault{Nth: 1, Delay: 200 * time.Millisecond})
+	tbl := makeTable()
+	lat := LatencyNone
+	node := algebra.NewFilter(algebra.NewScan(tbl, "a", "b"), algebra.Lt(algebra.Col("a"), algebra.I64(10)))
+	plan := lowerOrDie(t, node, "compilefault")
+	if len(plan.Pipelines) != 1 {
+		t.Fatalf("want a one-pipeline plan, got %d", len(plan.Pipelines))
+	}
+	res, err := Execute(plan, Options{Backend: BackendHybrid, Workers: 2, Latency: &lat})
+	if err != nil {
+		t.Fatalf("compile fault failed the hybrid query: %v", err)
+	}
+	if res.Stats.CompileErrors != 1 || len(res.Warnings) != 1 {
+		t.Fatalf("want one compile error and one warning, got %d and %v", res.Stats.CompileErrors, res.Warnings)
+	}
+	if !errors.Is(res.Warnings[0], faultinject.ErrInjected) {
+		t.Fatalf("warning does not carry the injected fault: %v", res.Warnings[0])
+	}
+	if res.Stats.MorselsCompiled != 0 || res.Rows() == 0 {
+		t.Fatalf("degraded run: %d compiled morsels, %d rows", res.Stats.MorselsCompiled, res.Rows())
 	}
 }
 

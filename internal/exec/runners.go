@@ -269,9 +269,11 @@ type hybridCompile struct {
 	// read after the load) carries the compile failure. A failed job is never
 	// retried — the pipeline degrades to the vectorized interpreter, which is
 	// the hybrid design's always-available fallback path.
-	failed  atomic.Bool
-	err     error
-	cancel  chan struct{}
+	failed atomic.Bool
+	err    error
+	// stop cancels the job's context, interrupting its compile; done closes
+	// when the job has returned.
+	stop    context.CancelFunc
 	done    chan struct{}
 	compile time.Duration
 	// ready is when the artifact landed (written before the art store,
@@ -293,7 +295,7 @@ func (h *hybridCompile) fail(qid uint64, pipe string, err error) {
 func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline, lat LatencyModel, arts *ArtifactSet) []*hybridCompile {
 	out := make([]*hybridCompile, len(pipes))
 	for i, pipe := range pipes {
-		h := &hybridCompile{cancel: make(chan struct{}), done: make(chan struct{})}
+		h := &hybridCompile{stop: func() {}, done: make(chan struct{})}
 		out[i] = h
 		if art := arts.loadFused(i); art != nil {
 			// Cached artifact from an earlier execution of this plan instance:
@@ -312,53 +314,35 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 			close(h.done)
 			continue
 		}
+		jobCtx, stop := context.WithCancel(ctx)
+		h.stop = stop
 		go func(pipe *core.Pipeline) {
 			defer close(h.done)
 			// A query that finished or died before the job was scheduled
 			// compiles nothing.
-			select {
-			case <-h.cancel:
+			if jobCtx.Err() != nil {
 				return
-			case <-ctx.Done():
-				return
-			default:
 			}
+			// The same compile the foreground backends run, IR verification
+			// included; its latency wait is abandoned if the query finishes
+			// first (paper §V-B) or its context dies.
 			flight.Default.RecordStr(flight.KindCompileStart, qid, pipe.Name, 0, 0)
-			start := time.Now()
-			fn, states, err := core.GenStep("pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result)
+			step, dur, err := compileStep(jobCtx, "pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result, lat)
 			if err != nil {
-				h.fail(qid, pipe.Name, err)
-				return
-			}
-			prog, err := vm.Compile(fn)
-			if err != nil {
-				h.fail(qid, pipe.Name, err)
-				return
-			}
-			// Interruptible machine-code latency: one timer wake-up (repeated
-			// short sleeps starve under a busy single-P scheduler), abandoned
-			// if the query finishes first (paper §V-B) or its context dies.
-			if d := lat.Delay(fn) + faultinject.Delay(faultinject.ExecHybridCompileDelay); d > 0 {
-				timer := time.NewTimer(d)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-				case <-h.cancel:
-					return
-				case <-ctx.Done():
-					return
+				if jobCtx.Err() == nil {
+					h.fail(qid, pipe.Name, err)
 				}
+				return
 			}
-			h.compile = time.Since(start)
+			h.compile = dur
 			h.ready = time.Now()
-			step := &fusedStep{prog: prog, states: states, fn: fn}
 			// Deposit before publishing: the deferred abandon() in
 			// ExecuteContext waits on done, so the store is never racing a
 			// caller that already released the plan back to the cache.
 			arts.noteCompile()
 			arts.storeFused(i, step)
 			h.art.Store(step)
-			flight.Default.RecordStr(flight.KindCompileLand, qid, pipe.Name, int64(h.compile), 0)
+			flight.Default.RecordStr(flight.KindCompileLand, qid, pipe.Name, int64(dur), 0)
 		}(pipe)
 	}
 	return out
@@ -366,7 +350,7 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 
 // abandon cancels the job if it has not completed; safe to call once.
 func (h *hybridCompile) abandon() {
-	close(h.cancel)
+	h.stop()
 	<-h.done
 }
 

@@ -88,6 +88,11 @@ func perMorsel(c stats.Counters) stats.Counters {
 }
 
 func TestTraceHybridRoutingSeries(t *testing.T) {
+	// The first morsel sleeps so the background compiles land before the
+	// query runs out of morsels; without it a busy scheduler can start the
+	// jobs too late and the run (correctly) stays on the interpreter.
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.ExecMorsel, faultinject.Fault{Nth: 1, Delay: 100 * time.Millisecond})
 	tbl := makeTable()
 	plan := lowerOrDie(t, groupByNode(tbl), "hybridtrace")
 	lat := LatencyNone

@@ -29,19 +29,18 @@ const (
 	// ExecFinalize fires at pipeline finalization (seal + merge), on the
 	// scheduler goroutine (panic-capable).
 	ExecFinalize = "exec/finalize"
-	// ExecCompile fires in the foreground compilation step used by the
-	// compiling and ROF backends (error point).
+	// ExecCompile fires in the compilation step every fusing backend runs:
+	// the compiling and ROF backends in the foreground, where a fired fault
+	// fails the query, and the hybrid backend's background jobs, where it
+	// degrades the pipeline to the interpreter (error point).
 	ExecCompile = "exec/compile"
-	// ExecCompileDelay adds latency to the foreground compile step,
-	// on top of the configured LatencyModel (delay point).
+	// ExecCompileDelay adds latency to the compile step's interruptible
+	// wait, on top of the configured LatencyModel (delay point).
 	ExecCompileDelay = "exec/compile-delay"
 	// ExecHybridCompile fires as the hybrid backend launches a pipeline's
 	// background compilation job (error point: a fired fault fails the job
 	// permanently, published before the query runs its first morsel).
 	ExecHybridCompile = "exec/hybrid-compile"
-	// ExecHybridCompileDelay adds latency to the background compile job's
-	// interruptible latency wait (delay point).
-	ExecHybridCompileDelay = "exec/hybrid-compile-delay"
 	// ServeParse fires in the inkserve request path after the request body is
 	// decoded (error point: a fired fault fails the request as a bad request).
 	ServeParse = "serve/parse"

@@ -705,6 +705,13 @@ func (b *binder) convert(e expr, ctx *exprCtx) (algebra.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if isLiteral(x.Then) && isLiteral(x.Else) {
+			then, els, err := b.literalArms(x)
+			if err != nil {
+				return nil, err
+			}
+			return algebra.Case(cond, then, els), nil
+		}
 		then, els, err := b.pair(x.Then, x.Else, ctx, "CASE arms", x.p, false)
 		if err != nil {
 			return nil, err
@@ -778,6 +785,46 @@ func (b *binder) pair(l, r expr, ctx *exprCtx, what string, p Position, checkKin
 		}
 	}
 	return le, re, nil
+}
+
+// literalArms binds a CASE whose arms are both literals, such as the
+// conditional count `case when ... then 1 else 0 end`. No column types the
+// arms, so both take the first non-placeholder literal's own kind: integer
+// Int64, decimal Float64, string String, date Date.
+func (b *binder) literalArms(x *caseExpr) (algebra.Expr, algebra.Expr, error) {
+	k := literalKind(x.Then)
+	if k == types.Invalid {
+		k = literalKind(x.Else)
+	}
+	if k == types.Invalid {
+		return nil, nil, &BindError{Pos: x.p, Msg: "CASE arms over two placeholders are not supported"}
+	}
+	then, err := b.literal(x.Then, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	els, err := b.literal(x.Else, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return then, els, nil
+}
+
+// literalKind is the kind a literal takes on its own (Invalid for a
+// placeholder, which has none).
+func literalKind(e expr) types.Kind {
+	switch x := e.(type) {
+	case *numLit:
+		if x.IsFloat {
+			return types.Float64
+		}
+		return types.Int64
+	case *strLit:
+		return types.String
+	case *dateLit:
+		return types.Date
+	}
+	return types.Invalid
 }
 
 // operand converts a sub-expression that may be an untyped literal, coercing

@@ -28,6 +28,9 @@ var validCorpus = []string{
 	`select l_orderkey from lineitem where l_shipdate >= ? and l_quantity < ? order by l_orderkey`,
 	`select o_orderkey from orders where o_comment like ? order by o_orderkey`,
 	`select sum(case when l_quantity > 25 then l_extendedprice else 0 end) as big from lineitem`,
+	`select l_shipmode, sum(case when l_quantity > 25 then 1 else 0 end) as n from lineitem group by l_shipmode order by l_shipmode`,
+	`select sum(case when l_quantity > 25 then 0.5 else ? end) as w from lineitem`,
+	`select l_orderkey, case when l_quantity > 25 then 'big' else 'small' end as size from lineitem order by l_orderkey`,
 	`select o_orderpriority, count(*) as n from orders
 	   where exists (select l_orderkey from lineitem where l_orderkey = o_orderkey)
 	   group by o_orderpriority order by o_orderpriority`,
@@ -132,6 +135,8 @@ var bindCorpus = []struct {
 	{`select sum(l_quantity) as s from lineitem order by l_tax`, "not in the select list"},
 	{`select l_orderkey from lineitem where ? = ?`, "references no columns"},
 	{`select l_orderkey from lineitem where l_quantity < 1 + 2`, "two literals"},
+	{`select sum(case when l_quantity > 25 then ? else ? end) as n from lineitem`, "two placeholders"},
+	{`select sum(case when l_quantity > 25 then 1 else 0.5 end) as n from lineitem`, "non-integer literal"},
 	{`select c_custkey from customer as c join customer as c on c_custkey = c_custkey`, "duplicate table alias"},
 	{`select o_orderkey from orders join orders as o2 on o_orderkey = o_orderkey`, "more than one FROM relation"},
 }

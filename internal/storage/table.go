@@ -85,7 +85,7 @@ func (c *Catalog) Get(name string) (*Table, error) {
 	return t, nil
 }
 
-// MustGet is Get that panics; used by hand-built plans.
+// MustGet is Get that panics; for tables the caller knows the catalog holds.
 func (c *Catalog) MustGet(name string) *Table {
 	t, err := c.Get(name)
 	if err != nil {

@@ -1,7 +1,9 @@
 // Package tpch provides a from-scratch, deterministic TPC-H-style data
-// generator and the hand-built physical plans for the eight queries the
-// paper evaluates (Q1, Q3, Q4, Q5, Q6, Q13, Q14, Q19 — chosen to cover all
-// TPC-H choke points, paper §VII).
+// generator and the SQL texts of the eight queries the paper evaluates (Q1,
+// Q3, Q4, Q5, Q6, Q13, Q14, Q19 — chosen to cover all TPC-H choke points,
+// paper §VII) plus two extended ones, which Build compiles into plans through
+// the text frontend. InkFuse builds its plans by hand because it has no SQL
+// frontend; here the texts spell out the same join orders.
 //
 // The generator reproduces the value domains and distributions the eight
 // queries are sensitive to: date ranges and offsets, return-flag/line-status

@@ -13,8 +13,9 @@ import (
 )
 
 // TestGoldenResults pins every query's result at SF 0.002 / seed 42 against
-// a checked-in golden file. This is the long-term regression net: any change
-// to the generator, the lowering, the suboperators, the VM, or the hash
+// a checked-in golden file, on all four backends. This is the long-term
+// regression net and each backend's reference: any change to the generator,
+// the SQL frontend, the lowering, the suboperators, the VM, or the hash
 // tables that alters query output fails here with a precise diff. Regenerate
 // deliberately with `go run ./internal/tpch/testdata/gen`.
 func TestGoldenResults(t *testing.T) {
@@ -33,29 +34,34 @@ func TestGoldenResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := algebra.Lower(node, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat := exec.LatencyNone
-		res, err := exec.Execute(plan, exec.Options{Backend: exec.BackendHybrid, Workers: 2, Latency: &lat})
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		got := make([]string, res.Rows())
-		for i := range got {
-			got[i] = fmt.Sprintf("%.6v", res.Chunk.Row(i))
-		}
-		if _, ordered := node.(*algebra.OrderBy); !ordered {
-			sort.Strings(got)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, golden has %d", q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("%s row %d:\n got  %s\n want %s", q, i, got[i], want[i])
-				break
+		_, ordered := node.(*algebra.OrderBy)
+		for _, backend := range []exec.Backend{
+			exec.BackendVectorized, exec.BackendCompiling, exec.BackendROF, exec.BackendHybrid,
+		} {
+			plan, err := algebra.Lower(node, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat := exec.LatencyNone
+			res, err := exec.Execute(plan, exec.Options{Backend: backend, Workers: 2, Latency: &lat})
+			if err != nil {
+				t.Fatalf("%s %v: %v", q, backend, err)
+			}
+			got := make([]string, res.Rows())
+			for i := range got {
+				got[i] = fmt.Sprintf("%.6v", res.Chunk.Row(i))
+			}
+			if !ordered {
+				sort.Strings(got)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %v: %d rows, golden has %d", q, backend, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s %v row %d:\n got  %s\n want %s", q, backend, i, got[i], want[i])
+					break
+				}
 			}
 		}
 	}

@@ -4,265 +4,32 @@ import (
 	"fmt"
 
 	"inkfuse/internal/algebra"
-	"inkfuse/internal/ir"
+	"inkfuse/internal/sql"
 	"inkfuse/internal/storage"
 )
 
 // Queries lists the supported TPC-H queries in the paper's order.
 var Queries = []string{"q1", "q3", "q4", "q5", "q6", "q13", "q14", "q19"}
 
-// Build returns the physical plan for the named query over the catalog. The
-// plans mirror the ones the paper uses (Umbra-style optimized join orders,
-// hand-built as in InkFuse, which has no SQL frontend).
+// ExtendedQueries go beyond the paper's eight (an engine-coverage extension,
+// not part of the reproduced figures): Q12 is faithful; Q10 is simplified to
+// the generated columns (no c_name/c_acctbal/c_address/c_phone — the
+// grouping collapses to (o_custkey, n_name), which preserves the plan shape:
+// three joins into a high-cardinality aggregation with a top-k).
+var ExtendedQueries = []string{"q10", "q12"}
+
+// Build returns the plan for the named query over the catalog: its SQL text
+// (SQL[name]) compiled through the text frontend. The texts spell out the
+// paper's Umbra-style join orders, so the frontend's syntactic planning
+// yields the plans the paper evaluates.
 func Build(cat *storage.Catalog, name string) (algebra.Node, error) {
-	switch name {
-	case "q1":
-		return Q1(cat), nil
-	case "q3":
-		return Q3(cat), nil
-	case "q4":
-		return Q4(cat), nil
-	case "q5":
-		return Q5(cat), nil
-	case "q6":
-		return Q6(cat), nil
-	case "q13":
-		return Q13(cat), nil
-	case "q14":
-		return Q14(cat), nil
-	case "q19":
-		return Q19(cat), nil
-	case "q10":
-		return Q10(cat), nil
-	case "q12":
-		return Q12(cat), nil
-	default:
+	text, ok := SQL[name]
+	if !ok {
 		return nil, fmt.Errorf("tpch: unknown query %q", name)
 	}
-}
-
-// Q1: low-cardinality aggregation over almost all of lineitem.
-//
-//	SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice),
-//	       sum(l_extendedprice*(1-l_discount)),
-//	       sum(l_extendedprice*(1-l_discount)*(1+l_tax)),
-//	       avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)
-//	FROM lineitem WHERE l_shipdate <= date '1998-09-02'
-//	GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus
-func Q1(cat *storage.Catalog) algebra.Node {
-	li := cat.MustGet("lineitem")
-	scan := algebra.NewScan(li, "l_returnflag", "l_linestatus", "l_quantity",
-		"l_extendedprice", "l_discount", "l_tax", "l_shipdate")
-	filtered := algebra.NewFilter(scan,
-		algebra.Le(algebra.Col("l_shipdate"), algebra.DateLit("1998-09-02")))
-	mapped := algebra.NewMap(filtered,
-		algebra.NamedExpr{As: "disc_price", E: algebra.Mul(algebra.Col("l_extendedprice"),
-			algebra.Sub(algebra.F64(1), algebra.Col("l_discount")))},
-		algebra.NamedExpr{As: "charge", E: algebra.Mul(algebra.Col("disc_price"),
-			algebra.Add(algebra.F64(1), algebra.Col("l_tax")))},
-	)
-	g := algebra.NewGroupBy(mapped, []string{"l_returnflag", "l_linestatus"},
-		algebra.Sum("l_quantity", "sum_qty"),
-		algebra.Sum("l_extendedprice", "sum_base_price"),
-		algebra.Sum("disc_price", "sum_disc_price"),
-		algebra.Sum("charge", "sum_charge"),
-		algebra.Avg("l_quantity", "avg_qty"),
-		algebra.Avg("l_extendedprice", "avg_price"),
-		algebra.Avg("l_discount", "avg_disc"),
-		algebra.Count("count_order"),
-	)
-	return algebra.NewOrderBy(g, []string{"l_returnflag", "l_linestatus"}, nil, 0)
-}
-
-// Q3: two joins with a >20x build/probe size difference, top-10 result.
-func Q3(cat *storage.Catalog) algebra.Node {
-	cust := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("customer"), "c_custkey", "c_mktsegment"),
-		algebra.Eq(algebra.Col("c_mktsegment"), algebra.Str("BUILDING")))
-	ord := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("orders"), "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"),
-		algebra.Lt(algebra.Col("o_orderdate"), algebra.DateLit("1995-03-15")))
-	custOrders := &algebra.HashJoin{
-		Build: cust, Probe: ord,
-		BuildKeys: []string{"c_custkey"}, ProbeKeys: []string{"o_custkey"},
-		Mode: ir.InnerJoin,
+	stmt, err := sql.Compile(cat, text)
+	if err != nil {
+		return nil, fmt.Errorf("tpch: %s: %w", name, err)
 	}
-	li := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("lineitem"), "l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"),
-		algebra.Gt(algebra.Col("l_shipdate"), algebra.DateLit("1995-03-15")))
-	joined := &algebra.HashJoin{
-		Build: custOrders, Probe: li,
-		BuildKeys: []string{"o_orderkey"}, ProbeKeys: []string{"l_orderkey"},
-		BuildCols: []string{"o_orderdate", "o_shippriority"},
-		Mode:      ir.InnerJoin,
-	}
-	mapped := algebra.NewMap(joined, algebra.NamedExpr{As: "rev", E: algebra.Mul(
-		algebra.Col("l_extendedprice"), algebra.Sub(algebra.F64(1), algebra.Col("l_discount")))})
-	g := algebra.NewGroupBy(mapped, []string{"l_orderkey", "o_orderdate", "o_shippriority"},
-		algebra.Sum("rev", "revenue"))
-	proj := algebra.NewProject(g, "l_orderkey", "revenue", "o_orderdate", "o_shippriority")
-	return algebra.NewOrderBy(proj, []string{"revenue", "o_orderdate"}, []bool{true, false}, 10)
-}
-
-// Q4: semi join (EXISTS) between orders and late lineitems.
-func Q4(cat *storage.Catalog) algebra.Node {
-	late := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("lineitem"), "l_orderkey", "l_commitdate", "l_receiptdate"),
-		algebra.Lt(algebra.Col("l_commitdate"), algebra.Col("l_receiptdate")))
-	ord := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("orders"), "o_orderkey", "o_orderdate", "o_orderpriority"),
-		algebra.And(
-			algebra.Ge(algebra.Col("o_orderdate"), algebra.DateLit("1993-07-01")),
-			algebra.Lt(algebra.Col("o_orderdate"), algebra.DateLit("1993-10-01"))))
-	semi := &algebra.HashJoin{
-		Build: late, Probe: ord,
-		BuildKeys: []string{"l_orderkey"}, ProbeKeys: []string{"o_orderkey"},
-		Mode: ir.SemiJoin,
-	}
-	g := algebra.NewGroupBy(semi, []string{"o_orderpriority"}, algebra.Count("order_count"))
-	return algebra.NewOrderBy(g, []string{"o_orderpriority"}, nil, 0)
-}
-
-// Q5: five-way join tree with a compound-key supplier join.
-func Q5(cat *storage.Catalog) algebra.Node {
-	region := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("region"), "r_regionkey", "r_name"),
-		algebra.Eq(algebra.Col("r_name"), algebra.Str("ASIA")))
-	nation := &algebra.HashJoin{
-		Build:     region,
-		Probe:     algebra.NewScan(cat.MustGet("nation"), "n_nationkey", "n_name", "n_regionkey"),
-		BuildKeys: []string{"r_regionkey"}, ProbeKeys: []string{"n_regionkey"},
-		Mode: ir.InnerJoin,
-	}
-	customer := &algebra.HashJoin{
-		Build:     nation,
-		Probe:     algebra.NewScan(cat.MustGet("customer"), "c_custkey", "c_nationkey"),
-		BuildKeys: []string{"n_nationkey"}, ProbeKeys: []string{"c_nationkey"},
-		BuildCols: []string{"n_name"},
-		Mode:      ir.InnerJoin,
-	}
-	orders := &algebra.HashJoin{
-		Build: customer,
-		Probe: algebra.NewFilter(
-			algebra.NewScan(cat.MustGet("orders"), "o_orderkey", "o_custkey", "o_orderdate"),
-			algebra.And(
-				algebra.Ge(algebra.Col("o_orderdate"), algebra.DateLit("1994-01-01")),
-				algebra.Lt(algebra.Col("o_orderdate"), algebra.DateLit("1995-01-01")))),
-		BuildKeys: []string{"c_custkey"}, ProbeKeys: []string{"o_custkey"},
-		BuildCols: []string{"n_name", "c_nationkey"},
-		Mode:      ir.InnerJoin,
-	}
-	lineitem := &algebra.HashJoin{
-		Build:     orders,
-		Probe:     algebra.NewScan(cat.MustGet("lineitem"), "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"),
-		BuildKeys: []string{"o_orderkey"}, ProbeKeys: []string{"l_orderkey"},
-		BuildCols: []string{"n_name", "c_nationkey"},
-		Mode:      ir.InnerJoin,
-	}
-	// Compound-key join: s_suppkey = l_suppkey AND s_nationkey = c_nationkey.
-	supplier := &algebra.HashJoin{
-		Build:     algebra.NewScan(cat.MustGet("supplier"), "s_suppkey", "s_nationkey"),
-		Probe:     lineitem,
-		BuildKeys: []string{"s_suppkey", "s_nationkey"},
-		ProbeKeys: []string{"l_suppkey", "c_nationkey"},
-		Mode:      ir.InnerJoin,
-	}
-	mapped := algebra.NewMap(supplier, algebra.NamedExpr{As: "rev", E: algebra.Mul(
-		algebra.Col("l_extendedprice"), algebra.Sub(algebra.F64(1), algebra.Col("l_discount")))})
-	g := algebra.NewGroupBy(mapped, []string{"n_name"}, algebra.Sum("rev", "revenue"))
-	return algebra.NewOrderBy(g, []string{"revenue"}, []bool{true}, 0)
-}
-
-// Q6: selective multi-predicate filter into a keyless aggregation.
-func Q6(cat *storage.Catalog) algebra.Node {
-	scan := algebra.NewScan(cat.MustGet("lineitem"),
-		"l_quantity", "l_extendedprice", "l_discount", "l_shipdate")
-	filtered := algebra.NewFilter(scan, algebra.And(
-		algebra.Ge(algebra.Col("l_shipdate"), algebra.DateLit("1994-01-01")),
-		algebra.Lt(algebra.Col("l_shipdate"), algebra.DateLit("1995-01-01")),
-		algebra.Ge(algebra.Col("l_discount"), algebra.F64(0.05)),
-		algebra.Le(algebra.Col("l_discount"), algebra.F64(0.07)),
-		algebra.Lt(algebra.Col("l_quantity"), algebra.F64(24))))
-	mapped := algebra.NewMap(filtered, algebra.NamedExpr{As: "rev",
-		E: algebra.Mul(algebra.Col("l_extendedprice"), algebra.Col("l_discount"))})
-	return algebra.NewGroupBy(mapped, nil, algebra.Sum("rev", "revenue"))
-}
-
-// Q13: outer join with many unmatched tuples, then a second aggregation.
-func Q13(cat *storage.Catalog) algebra.Node {
-	ord := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("orders"), "o_custkey", "o_comment"),
-		algebra.NotLike(algebra.Col("o_comment"), "%special%requests%"))
-	outer := &algebra.HashJoin{
-		Build:     ord,
-		Probe:     algebra.NewScan(cat.MustGet("customer"), "c_custkey"),
-		BuildKeys: []string{"o_custkey"}, ProbeKeys: []string{"c_custkey"},
-		Mode:      ir.LeftOuterJoin,
-		MatchedAs: "has_order",
-	}
-	perCust := algebra.NewGroupBy(outer, []string{"c_custkey"},
-		algebra.CountIf("has_order", "c_count"))
-	dist := algebra.NewGroupBy(perCust, []string{"c_count"}, algebra.Count("custdist"))
-	return algebra.NewOrderBy(dist, []string{"custdist", "c_count"}, []bool{true, true}, 0)
-}
-
-// Q14: join with a CASE expression feeding two keyless sums.
-func Q14(cat *storage.Catalog) algebra.Node {
-	li := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("lineitem"), "l_partkey", "l_extendedprice", "l_discount", "l_shipdate"),
-		algebra.And(
-			algebra.Ge(algebra.Col("l_shipdate"), algebra.DateLit("1995-09-01")),
-			algebra.Lt(algebra.Col("l_shipdate"), algebra.DateLit("1995-10-01"))))
-	joined := &algebra.HashJoin{
-		Build:     algebra.NewScan(cat.MustGet("part"), "p_partkey", "p_type"),
-		Probe:     li,
-		BuildKeys: []string{"p_partkey"}, ProbeKeys: []string{"l_partkey"},
-		BuildCols: []string{"p_type"},
-		Mode:      ir.InnerJoin,
-	}
-	mapped := algebra.NewMap(joined,
-		algebra.NamedExpr{As: "rev", E: algebra.Mul(algebra.Col("l_extendedprice"),
-			algebra.Sub(algebra.F64(1), algebra.Col("l_discount")))},
-		algebra.NamedExpr{As: "promo_rev", E: algebra.Case(
-			algebra.Like(algebra.Col("p_type"), "PROMO%"),
-			algebra.Col("rev"), algebra.F64(0))},
-	)
-	g := algebra.NewGroupBy(mapped, nil,
-		algebra.Sum("promo_rev", "sum_promo"), algebra.Sum("rev", "sum_rev"))
-	final := algebra.NewMap(g, algebra.NamedExpr{As: "promo_revenue",
-		E: algebra.Div(algebra.Mul(algebra.F64(100), algebra.Col("sum_promo")), algebra.Col("sum_rev"))})
-	return algebra.NewProject(final, "promo_revenue")
-}
-
-// Q19: disjunction of three conjunctive clauses over both join sides.
-func Q19(cat *storage.Catalog) algebra.Node {
-	li := algebra.NewFilter(
-		algebra.NewScan(cat.MustGet("lineitem"), "l_partkey", "l_quantity",
-			"l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"),
-		algebra.And(
-			algebra.Eq(algebra.Col("l_shipinstruct"), algebra.Str("DELIVER IN PERSON")),
-			algebra.In(algebra.Col("l_shipmode"), "AIR", "AIR REG")))
-	joined := &algebra.HashJoin{
-		Build:     algebra.NewScan(cat.MustGet("part"), "p_partkey", "p_brand", "p_size", "p_container"),
-		Probe:     li,
-		BuildKeys: []string{"p_partkey"}, ProbeKeys: []string{"l_partkey"},
-		BuildCols: []string{"p_brand", "p_size", "p_container"},
-		Mode:      ir.InnerJoin,
-	}
-	clause := func(brand string, containers []string, qlo, qhi float64, smax int32) algebra.Expr {
-		return algebra.And(
-			algebra.Eq(algebra.Col("p_brand"), algebra.Str(brand)),
-			algebra.In(algebra.Col("p_container"), containers...),
-			algebra.Ge(algebra.Col("l_quantity"), algebra.F64(qlo)),
-			algebra.Le(algebra.Col("l_quantity"), algebra.F64(qhi)),
-			algebra.Ge(algebra.Col("p_size"), algebra.I32(1)),
-			algebra.Le(algebra.Col("p_size"), algebra.I32(smax)))
-	}
-	filtered := algebra.NewFilter(joined, algebra.Or(
-		clause("Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5),
-		clause("Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10),
-		clause("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15)))
-	mapped := algebra.NewMap(filtered, algebra.NamedExpr{As: "rev", E: algebra.Mul(
-		algebra.Col("l_extendedprice"), algebra.Sub(algebra.F64(1), algebra.Col("l_discount")))})
-	return algebra.NewGroupBy(mapped, nil, algebra.Sum("rev", "revenue"))
+	return stmt.Root, nil
 }

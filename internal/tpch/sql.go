@@ -1,10 +1,11 @@
 package tpch
 
-// SQL holds the eight paper queries as SQL text. Each text binds — through
-// internal/sql — to the same plan shape as the hand-built tree in queries.go:
-// the differential suite asserts byte-identical results across all backends.
-// Join order is written explicitly (build side left for inner joins, outer
-// side left for LEFT OUTER JOIN) because the frontend plans syntactically.
+// SQL holds every supported query as SQL text — the paper's eight and the
+// two ExtendedQueries — and Build compiles it through internal/sql, so each
+// query is declared exactly once. Join order is written explicitly (build
+// side left for inner joins, outer side left for LEFT OUTER JOIN) because the
+// frontend plans syntactically; the texts thereby spell out the paper's
+// Umbra-style join orders.
 var SQL = map[string]string{
 	"q1": `
 select l_returnflag, l_linestatus,
@@ -106,4 +107,32 @@ where l_shipinstruct = 'DELIVER IN PERSON'
         and p_container in ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG')
         and l_quantity >= 20 and l_quantity <= 30
         and p_size >= 1 and p_size <= 15))`,
+
+	"q10": `
+select o_custkey, n_name, sum(l_extendedprice * (1 - l_discount)) as revenue
+from nation
+     join customer on n_nationkey = c_nationkey
+     join orders on c_custkey = o_custkey
+     join lineitem on o_orderkey = l_orderkey
+where o_orderdate >= date '1993-10-01'
+  and o_orderdate < date '1994-01-01'
+  and l_returnflag = 'R'
+group by o_custkey, n_name
+order by revenue desc
+limit 20`,
+
+	"q12": `
+select l_shipmode,
+       sum(case when o_orderpriority in ('1-URGENT', '2-HIGH')
+                then 1 else 0 end) as high_line_count,
+       sum(case when o_orderpriority not in ('1-URGENT', '2-HIGH')
+                then 1 else 0 end) as low_line_count
+from orders join lineitem on o_orderkey = l_orderkey
+where l_shipmode in ('MAIL', 'SHIP')
+  and l_commitdate < l_receiptdate
+  and l_shipdate < l_commitdate
+  and l_receiptdate >= date '1994-01-01'
+  and l_receiptdate < date '1995-01-01'
+group by l_shipmode
+order by l_shipmode`,
 }

@@ -20,64 +20,54 @@ func exactRows(res *exec.Result) []string {
 	return out
 }
 
-// TestSQLDifferential lowers each paper query from SQL text and asserts the
-// results are byte-identical to the hand-built plan on every backend. The
-// frontend may over-declare join payloads and synthesize different IU names,
-// but after lowering both plans must compute the same values.
+// TestSQLDifferential compiles each query's canonical SQL text and asserts
+// every backend's result is byte-identical to the vectorized backend's, at
+// full precision rather than the six significant digits the golden file
+// pins. At this scale each table is one morsel, so float sums merge in one
+// order on every backend. The canonical texts must take no placeholders:
+// Build, perfbench and inkserve clients run them verbatim.
 func TestSQLDifferential(t *testing.T) {
-	for _, q := range Queries {
+	for _, q := range append(append([]string{}, Queries...), ExtendedQueries...) {
 		t.Run(q, func(t *testing.T) {
-			text, ok := SQL[q]
-			if !ok {
-				t.Fatalf("no SQL text for %s", q)
-			}
-			hand, err := Build(testCat, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stmt, err := sql.Compile(testCat, text)
+			stmt, err := sql.Compile(testCat, SQL[q])
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
 			if stmt.NumParams() != 0 {
 				t.Fatalf("canonical text should have no placeholders, got %d", stmt.NumParams())
 			}
-			_, ordered := hand.(*algebra.OrderBy)
+			_, ordered := stmt.Root.(*algebra.OrderBy)
+			var want []string
 			for _, backend := range []exec.Backend{
 				exec.BackendVectorized, exec.BackendCompiling, exec.BackendROF, exec.BackendHybrid,
 			} {
-				handPlan, err := algebra.Lower(hand, q)
+				// Lower and bind the literals as inkserve does on a cache miss.
+				plan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
 				if err != nil {
-					t.Fatalf("lower hand: %v", err)
-				}
-				sqlPlan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
-				if err != nil {
-					t.Fatalf("lower sql: %v", err)
+					t.Fatalf("lower: %v", err)
 				}
 				if err := stmt.BindArgs(params, nil); err != nil {
 					t.Fatalf("bind args: %v", err)
 				}
 				lat := exec.LatencyNone
-				wantRes, err := exec.Execute(handPlan, exec.Options{Backend: backend, Workers: 2, Latency: &lat})
+				res, err := exec.Execute(plan, exec.Options{Backend: backend, Workers: 2, Latency: &lat})
 				if err != nil {
-					t.Fatalf("%v hand: %v", backend, err)
+					t.Fatalf("%v: %v", backend, err)
 				}
-				lat2 := exec.LatencyNone
-				gotRes, err := exec.Execute(sqlPlan, exec.Options{Backend: backend, Workers: 2, Latency: &lat2})
-				if err != nil {
-					t.Fatalf("%v sql: %v", backend, err)
-				}
-				want, got := exactRows(wantRes), exactRows(gotRes)
+				got := exactRows(res)
 				if !ordered {
-					sort.Strings(want)
 					sort.Strings(got)
 				}
+				if want == nil {
+					want = got
+					continue
+				}
 				if len(got) != len(want) {
-					t.Fatalf("%v: got %d rows, want %d", backend, len(got), len(want))
+					t.Fatalf("%v: got %d rows, vectorized %d", backend, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%v: row %d differs:\n sql  %s\n hand %s", backend, i, got[i], want[i])
+						t.Fatalf("%v: row %d differs:\n got        %s\n vectorized %s", backend, i, got[i], want[i])
 					}
 				}
 			}

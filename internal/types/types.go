@@ -190,8 +190,8 @@ func ParseDate(s string) (int32, error) {
 	return int32(t.Sub(epoch).Hours() / 24), nil
 }
 
-// MustParseDate is ParseDate that panics; used in hand-built plans where the
-// literal is a compile-time constant.
+// MustParseDate is ParseDate that panics; for date literals that are
+// compile-time constants (algebra.DateLit).
 func MustParseDate(s string) int32 {
 	d, err := ParseDate(s)
 	if err != nil {

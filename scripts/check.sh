@@ -13,6 +13,9 @@ fi
 
 go build ./...
 go vet ./...
+# perfbench is its own module (outside ./...) yet imports the engine's tpch,
+# sql, exec, core and serve packages: vet it so an API break there fails here.
+(cd perfbench && go vet ./...)
 
 # inklint: the engine-invariant analyzers (hotpath allocation discipline,
 # backend dispatch/enumeration completeness, typed boundary errors, shard-lock
